@@ -1,6 +1,6 @@
 //! Sharded-store benchmarks: shard-count axis through the store
-//! write/merged-read paths, and the frame-granular `next_frame` read
-//! path against the value-granular `decode` path.
+//! write/merged-read paths, and the borrowed `next_frame` read against
+//! the materializing `decode_all`.
 //!
 //! Like the thread-axis benches, the shard axis can only show
 //! sharding ≈ serial on a single-core host; the speedup materializes on
@@ -74,23 +74,6 @@ fn bench_store_shards(c: &mut Criterion) {
                 black_box(r.decode_all().unwrap().len())
             });
         });
-        // The pre-batching merged cursor (one value at a time through the
-        // per-shard buffers): the gap to `read` is the per-value overhead
-        // the frame-sized zipper removes (ROADMAP item).
-        g.bench_function(BenchmarkId::new("read_stepwise", shards), |b| {
-            b.iter(|| {
-                let mut r = StoreReader::open_with(
-                    &root,
-                    ReadOptions {
-                        threads: 4,
-                        ..ReadOptions::default()
-                    },
-                )
-                .unwrap();
-                r.merge_batching(false);
-                black_box(r.decode_all().unwrap().len())
-            });
-        });
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -130,9 +113,9 @@ fn bench_store_shards(c: &mut Criterion) {
     g.finish();
 }
 
-/// The zero-copy frame path against the value path on one trace: `read`
-/// copies every decoded segment into the consumer's buffer, `next_frame`
-/// hands column bytes to the bytesort inverse in place.
+/// The two read shapes on one trace: `decode` materializes the whole
+/// trace (`decode_all`, i.e. `next_frame` + extend), `next_frame` only
+/// borrows each frame.
 fn bench_read_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("atc_read_path");
     g.sample_size(10);

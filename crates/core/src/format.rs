@@ -195,26 +195,22 @@ pub fn write_frame<W: Write>(w: &mut W, addrs: &[u64]) -> Result<()> {
     Ok(())
 }
 
-/// Reads one bytesorted frame; `Ok(None)` at clean end of stream.
+/// Reads one bytesorted frame into an owned vector; `Ok(None)` at clean
+/// end of stream. A one-shot convenience over [`read_frame_borrowed`]
+/// (the one frame parser) for callers that do not keep decoder state
+/// across frames.
 ///
 /// # Errors
 ///
 /// Returns [`AtcError::Io`] on truncated frames and [`AtcError::Format`] on
 /// structurally invalid ones.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u64>>> {
-    let n = match try_read_varint(r)? {
-        Some(n) => check_frame_addrs(n)?,
-        None => return Ok(None),
-    };
-    // bounded: n was checked against FRAME_MAX_ADDRS above.
-    let mut cols = Vec::with_capacity(COLUMNS);
-    for _ in 0..COLUMNS {
-        // bounded: ditto — at most FRAME_MAX_ADDRS bytes per column.
-        let mut col = vec![0u8; n];
-        r.read_exact(&mut col)?;
-        cols.push(col);
+pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Vec<u64>>> {
+    let mut inverse = BytesortInverse::default();
+    let mut stats = FrameReadStats::default();
+    if !read_frame_borrowed(r, &mut inverse, &mut Vec::new(), &mut stats)? {
+        return Ok(None);
     }
-    bytesort::bytesort_inverse(&cols).map(Some)
+    inverse.into_addrs().map(Some)
 }
 
 /// Accounting for the borrowed (zero-copy) frame-read path
@@ -480,8 +476,14 @@ impl SeekTable {
                 )));
             }
             raw_starts.push(raw_start);
-            file_offset += s.compressed_len;
-            raw_start += s.raw_len;
+            // Lengths come from the sidecar on the decode() path: a forged
+            // pair must not overflow the prefix sums.
+            let overflow =
+                || AtcError::Format(format!("seek table: segment {i} overflows the offsets"));
+            file_offset = file_offset
+                .checked_add(s.compressed_len)
+                .ok_or_else(overflow)?;
+            raw_start = raw_start.checked_add(s.raw_len).ok_or_else(overflow)?;
         }
         Ok(Self {
             segments,
@@ -596,7 +598,9 @@ impl SeekTable {
                 compressed_len,
                 raw_len,
             });
-            file_offset += compressed_len;
+            file_offset = file_offset
+                .checked_add(compressed_len)
+                .ok_or_else(|| bad("segment lengths overflow"))?;
         }
         if !cur.is_empty() {
             return Err(bad("trailing bytes"));

@@ -1,14 +1,13 @@
 //! Streaming ATC decompression (the original tool's `atc_open('d') /
 //! atc_decode / atc_close`).
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use atc_cache::{trace_id, SegmentCache};
-use atc_codec::{codec_by_name, varint, Codec, CodecReader, ReadaheadReader, SegmentRecord};
+use atc_codec::{codec_by_name, varint, Codec, CodecReader, ReadaheadReader, DEFAULT_SEGMENT_SIZE};
 use atc_engine::Engine;
 
 use crate::bytesort::BytesortInverse;
@@ -62,12 +61,13 @@ impl Default for ReadOptions {
 }
 
 /// A payload stream: decoded inline, through the readahead pipeline, or
-/// segment-at-a-time through the process-wide [`SegmentCache`].
+/// segment-at-a-time off the seek sidecar's table (optionally sharing
+/// decoded segments through a [`SegmentCache`]).
 #[derive(Debug)]
 enum SegmentStream {
     Serial(CodecReader<BufReader<File>>),
     Readahead(ReadaheadReader),
-    Cached(CachedSegmentStream),
+    Table(TableSegmentStream),
 }
 
 impl SegmentStream {
@@ -104,7 +104,7 @@ impl SegmentStream {
         match self {
             Self::Serial(r) => Some(r.segments_decoded()),
             Self::Readahead(_) => None,
-            Self::Cached(r) => Some(r.decoded),
+            Self::Table(r) => Some(r.decoded),
         }
     }
 }
@@ -114,7 +114,7 @@ impl Read for SegmentStream {
         match self {
             Self::Serial(r) => r.read(buf),
             Self::Readahead(r) => r.read(buf),
-            Self::Cached(r) => r.read(buf),
+            Self::Table(r) => r.read(buf),
         }
     }
 }
@@ -124,7 +124,7 @@ impl BufRead for SegmentStream {
         match self {
             Self::Serial(r) => r.fill_buf(),
             Self::Readahead(r) => r.fill_buf(),
-            Self::Cached(r) => r.fill_buf(),
+            Self::Table(r) => r.fill_buf(),
         }
     }
 
@@ -132,22 +132,29 @@ impl BufRead for SegmentStream {
         match self {
             Self::Serial(r) => r.consume(amt),
             Self::Readahead(r) => r.consume(amt),
-            Self::Cached(r) => r.consume(amt),
+            Self::Table(r) => r.consume(amt),
         }
     }
 }
 
-/// A payload stream that decodes one segment at a time, sharing decoded
-/// bytes through a [`SegmentCache`]. Segment boundaries come from the
-/// seek sidecar, so the stream can start (and `seek_to_raw` restart) at
-/// any raw offset by decoding at most the one segment containing it.
+/// Upper bound on the up-front reservation for one decoded segment. Every
+/// writer seals segments at [`DEFAULT_SEGMENT_SIZE`] raw bytes, so an
+/// honest sidecar never declares more; a forged `raw_len` reserves at most
+/// this much before the decode (and the length check after it) refuses it.
+const SEGMENT_PREALLOC_CAP: usize = DEFAULT_SEGMENT_SIZE;
+
+/// A payload stream that decodes one segment at a time. Segment
+/// boundaries come from the seek sidecar, so the stream can start (and
+/// `seek_to_raw` restart) at any raw offset by decoding at most the one
+/// segment containing it; with a [`SegmentCache`] attached, decoded
+/// segments are shared process-wide.
 #[derive(Debug)]
-struct CachedSegmentStream {
+struct TableSegmentStream {
     file: File,
     codec: Arc<dyn Codec>,
     table: format::SeekTable,
     trace: u64,
-    cache: Arc<SegmentCache>,
+    cache: Option<Arc<SegmentCache>>,
     /// Decoded bytes of the segment currently being consumed.
     current: Arc<Vec<u8>>,
     /// Read position within `current`.
@@ -158,37 +165,39 @@ struct CachedSegmentStream {
     decoded: u64,
 }
 
-impl CachedSegmentStream {
-    fn new(
-        file: File,
-        codec: Arc<dyn Codec>,
+impl TableSegmentStream {
+    /// Opens trace `dir`'s payload file for reading by `table`.
+    fn open(
+        dir: &Path,
+        codec: &Arc<dyn Codec>,
         table: format::SeekTable,
-        trace: u64,
-        cache: Arc<SegmentCache>,
-    ) -> Self {
-        Self {
-            file,
-            codec,
+        cache: Option<Arc<SegmentCache>>,
+    ) -> std::io::Result<Self> {
+        Ok(Self {
+            file: File::open(dir.join(format::DATA_FILE))?,
+            codec: Arc::clone(codec),
             table,
-            trace,
+            trace: trace_id(dir),
             cache,
             current: Arc::new(Vec::new()),
             pos: 0,
             next_seg: 0,
             decoded: 0,
-        }
+        })
     }
 
     /// Fetches segment `idx` from the cache, decoding (and caching) it on
     /// a miss.
     fn load_segment(&mut self, idx: usize) -> std::io::Result<Arc<Vec<u8>>> {
         let key = (self.trace, idx as u64);
-        if let Some(bytes) = self.cache.get(key) {
+        if let Some(bytes) = self.cache.as_ref().and_then(|c| c.get(key)) {
             return Ok(bytes);
         }
         let rec = self.table.segments()[idx];
         let framed = usize::try_from(rec.compressed_len)
             .map_err(|_| invalid_data(format!("segment {idx} length overflows usize")))?;
+        // bounded: load_seek_table checked the table's compressed lengths
+        // sum to at most the payload file's size.
         let mut buf = vec![0u8; framed];
         self.file.seek(SeekFrom::Start(rec.file_offset))?;
         self.file.read_exact(&mut buf)?;
@@ -200,7 +209,7 @@ impl CachedSegmentStream {
                 cur.len()
             )));
         }
-        let mut raw = Vec::with_capacity(rec.raw_len as usize);
+        let mut raw = Vec::with_capacity(rec.raw_len.min(SEGMENT_PREALLOC_CAP as u64) as usize);
         self.codec
             .decompress_into(cur, &mut raw)
             .map_err(|e| invalid_data(format!("segment {idx}: {e}")))?;
@@ -213,7 +222,9 @@ impl CachedSegmentStream {
         }
         self.decoded += 1;
         let raw = Arc::new(raw);
-        self.cache.insert(key, Arc::clone(&raw));
+        if let Some(cache) = &self.cache {
+            cache.insert(key, Arc::clone(&raw));
+        }
         Ok(raw)
     }
 
@@ -244,7 +255,7 @@ fn invalid_data(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-impl Read for CachedSegmentStream {
+impl Read for TableSegmentStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = {
             let avail = self.fill_buf()?;
@@ -257,7 +268,7 @@ impl Read for CachedSegmentStream {
     }
 }
 
-impl BufRead for CachedSegmentStream {
+impl BufRead for TableSegmentStream {
     fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
         while self.pos >= self.current.len() {
             if self.next_seg >= self.table.len() {
@@ -306,14 +317,15 @@ pub struct AtcReader {
     dir: PathBuf,
     codec: Arc<dyn Codec>,
     state: State,
-    /// Decoded values not yet handed out.
-    pending: VecDeque<u64>,
+    /// Addresses in the frames parsed so far (or skipped by a seek).
     produced: u64,
-    /// Streaming bytesort decoder for the zero-copy frame path; its
-    /// output buffer is what lossless [`AtcReader::next_frame`] hands out.
+    /// Values of the current frame not yet handed out: [`AtcReader::decode`]
+    /// takes one, [`AtcReader::next_frame`] takes the rest.
+    remaining: usize,
+    /// Streaming bytesort decoder; its output buffer is the current frame
+    /// of a lossless trace.
     inverse: BytesortInverse,
-    /// Frame buffer for [`AtcReader::next_frame`] when the frame cannot
-    /// be borrowed (lossy intervals, values buffered by `decode`).
+    /// The current frame of a lossy trace (one materialized interval).
     frame: Vec<u64>,
     /// Scratch for columns that straddle a segment boundary.
     col_scratch: Vec<u8>,
@@ -324,15 +336,11 @@ pub struct AtcReader {
     /// stream has a hole, so anything "decoded" past it would be garbage
     /// that happens to parse — fail fast at every thread count instead.
     poisoned: Option<String>,
-    /// Retained [`ReadOptions`] so [`AtcReader::seek`]'s linear fallback
-    /// can rebuild the payload stream the way it was opened.
+    /// Retained [`ReadOptions`] so [`AtcReader::seek`] can rebuild the
+    /// payload stream the way it was opened.
     threads: usize,
     engine: Option<Engine>,
     segment_cache: Option<Arc<SegmentCache>>,
-    /// Set by [`AtcReader::decode_all_flat`]: the payload was consumed
-    /// out of band, so the streaming paths must report end of trace
-    /// instead of re-decoding the (unconsumed) underlying stream.
-    exhausted: bool,
     /// The missing-sidecar fallback warns once per reader, not per call.
     warned_linear: bool,
 }
@@ -357,21 +365,6 @@ impl AtcReader {
     /// malformed, or the recorded codec is unknown.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self> {
         Self::open_with(dir, ReadOptions::default())
-    }
-
-    /// Opens a trace directory with an explicit chunk-cache capacity.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`AtcReader::open`].
-    pub fn with_chunk_cache<P: AsRef<Path>>(dir: P, chunk_cache: usize) -> Result<Self> {
-        Self::open_with(
-            dir,
-            ReadOptions {
-                chunk_cache,
-                ..ReadOptions::default()
-            },
-        )
     }
 
     /// Opens a trace directory with explicit [`ReadOptions`] (chunk cache
@@ -401,15 +394,14 @@ impl AtcReader {
             "lossless" => State::Lossless {
                 stream: match segment_cache
                     .as_ref()
-                    .and_then(|cache| Some((cache, load_seek_table(&dir, &meta)?)))
+                    .and_then(|_| load_seek_table(&dir, &meta))
                 {
-                    Some((cache, table)) => SegmentStream::Cached(CachedSegmentStream::new(
-                        File::open(dir.join(format::DATA_FILE))?,
-                        Arc::clone(&codec),
+                    Some(table) => SegmentStream::Table(TableSegmentStream::open(
+                        &dir,
+                        &codec,
                         table,
-                        trace_id(&dir),
-                        Arc::clone(cache),
-                    )),
+                        segment_cache.clone(),
+                    )?),
                     // No cache requested, or no usable sidecar to cut
                     // segments with: plain streaming decode.
                     None => SegmentStream::open(
@@ -438,8 +430,8 @@ impl AtcReader {
             dir,
             codec,
             state,
-            pending: VecDeque::new(),
             produced: 0,
+            remaining: 0,
             inverse: BytesortInverse::default(),
             frame: Vec::new(),
             col_scratch: Vec::new(),
@@ -448,7 +440,6 @@ impl AtcReader {
             threads,
             engine,
             segment_cache,
-            exhausted: false,
             warned_linear: false,
         })
     }
@@ -459,123 +450,114 @@ impl AtcReader {
     }
 
     /// Decodes the next value; `Ok(None)` at end of trace (the original
-    /// `atc_decode` returning 0).
+    /// `atc_decode` returning 0). A cursor over [`AtcReader::next_frame`]'s
+    /// frames: it parses a frame when the current one is used up and
+    /// otherwise just indexes into it.
     ///
     /// # Errors
     ///
     /// Propagates I/O, codec, and format errors.
     pub fn decode(&mut self) -> Result<Option<u64>> {
         self.check_poisoned()?;
-        let result = self.decode_inner();
-        if let Err(e) = &result {
-            self.poisoned = Some(e.to_string());
-        }
-        result
-    }
-
-    fn decode_inner(&mut self) -> Result<Option<u64>> {
-        loop {
-            if let Some(v) = self.pending.pop_front() {
-                self.produced += 1;
-                return Ok(Some(v));
-            }
-            if !self.refill()? {
-                self.check_complete()?;
+        // Empty frames are legal in the format: keep parsing past them.
+        while self.remaining == 0 {
+            if !self.advance()? {
                 return Ok(None);
             }
         }
+        let frame = self.current()?;
+        let v = frame[frame.len() - self.remaining];
+        self.remaining -= 1;
+        Ok(Some(v))
     }
 
     /// Decodes the next whole frame — one bytesort buffer (lossless mode)
     /// or one interval (lossy mode) — and hands it out as a borrowed
     /// slice, valid until the next call on this reader.
     ///
-    /// This is the zero-copy bulk path: in lossless mode, columns are fed
-    /// to the bytesort inverse straight out of the stream's decoded
-    /// segment buffer (the readahead reassembly buffer when
-    /// [`ReadOptions::threads`] > 1) instead of first being copied through
-    /// `Read::read` into an owned buffer — [`AtcReader::frame_stats`]
-    /// counts borrowed vs copied column bytes. Lossy intervals are
-    /// materialized through the chunk cache as before (translations must
-    /// rewrite the bytes anyway).
+    /// This is the one way bytes become addresses: in lossless mode,
+    /// columns are fed to the bytesort inverse straight out of the
+    /// stream's decoded segment buffer (the readahead reassembly buffer
+    /// when [`ReadOptions::threads`] > 1) instead of first being copied
+    /// through `Read::read` into an owned buffer —
+    /// [`AtcReader::frame_stats`] counts borrowed vs copied column bytes.
+    /// Lossy intervals are materialized through the chunk cache
+    /// (translations must rewrite the bytes anyway).
     ///
-    /// `next_frame` and [`AtcReader::decode`] may be interleaved: values
-    /// already buffered by `decode` are drained (as one frame) before the
-    /// next on-disk frame is parsed. The concatenation of all frames is
-    /// exactly the `decode` value sequence; `Ok(None)` means clean end of
-    /// trace. Errors (including a mid-stream integrity failure) latch
-    /// exactly like the `decode` path: every later call keeps failing
-    /// rather than decaying into a clean end of trace.
+    /// `next_frame` and [`AtcReader::decode`] may be interleaved: after
+    /// `decode` took part of a frame, `next_frame` hands out the rest of
+    /// it. The concatenation of all frames is exactly the `decode` value
+    /// sequence; `Ok(None)` means clean end of trace. Errors (including a
+    /// mid-stream integrity failure) latch on both entry points: every
+    /// later call keeps failing rather than decaying into a clean end of
+    /// trace.
     ///
     /// # Errors
     ///
     /// Propagates I/O, codec, and format errors.
     pub fn next_frame(&mut self) -> Result<Option<&[u64]>> {
         self.check_poisoned()?;
-        match self.next_frame_inner() {
-            Ok(Some(FrameSlot::Inverse)) => Ok(Some(self.inverse.finish()?)),
-            Ok(Some(FrameSlot::Buffer)) => Ok(Some(&self.frame)),
-            Ok(None) => Ok(None),
-            Err(e) => {
-                self.poisoned = Some(e.to_string());
-                Err(e)
-            }
+        if self.remaining == 0 && !self.advance()? {
+            return Ok(None);
+        }
+        let taken = std::mem::take(&mut self.remaining);
+        let frame = self.current()?;
+        Ok(Some(&frame[frame.len() - taken..]))
+    }
+
+    /// The current frame (meaningful only while `remaining > 0`, or right
+    /// after a successful [`AtcReader::advance`]).
+    fn current(&self) -> Result<&[u64]> {
+        match self.state {
+            State::Lossless { .. } => self.inverse.finish(),
+            State::Lossy { .. } => Ok(&self.frame),
         }
     }
 
-    /// Decodes the next frame, reporting *where* it landed (so the
-    /// borrowed slice can be produced after error handling releases
-    /// `&mut self`).
-    fn next_frame_inner(&mut self) -> Result<Option<FrameSlot>> {
-        if !self.pending.is_empty() {
-            // Interleaved with decode(): hand out its buffered tail as a
-            // frame so the value sequence stays exact.
-            self.frame.clear();
-            self.frame.extend(self.pending.drain(..));
-            self.produced += self.frame.len() as u64;
-            self.frame_stats.frames += 1;
-            return Ok(Some(FrameSlot::Buffer));
-        }
-        if self.exhausted {
-            self.check_complete()?;
-            return Ok(None);
-        }
-        match &mut self.state {
+    /// Parses the next on-disk frame into the current-frame buffer;
+    /// `Ok(false)` at clean end of trace. Latches errors.
+    fn advance(&mut self) -> Result<bool> {
+        let result = self.advance_inner();
+        self.latch(result)
+    }
+
+    fn advance_inner(&mut self) -> Result<bool> {
+        let len = match &mut self.state {
             State::Lossless { stream } => {
-                if format::read_frame_borrowed(
+                if !format::read_frame_borrowed(
                     stream,
                     &mut self.inverse,
                     &mut self.col_scratch,
                     &mut self.frame_stats,
                 )? {
-                    self.produced += self.inverse.finish()?.len() as u64;
-                    Ok(Some(FrameSlot::Inverse))
-                } else {
                     self.check_complete()?;
-                    Ok(None)
+                    return Ok(false);
                 }
+                self.inverse.finish()?.len()
             }
             State::Lossy { info, cache } => {
                 let Some(record) = IntervalRecord::read(info)? else {
                     self.check_complete()?;
-                    return Ok(None);
+                    return Ok(false);
                 };
                 self.frame.clear();
                 materialize_interval(&self.dir, &self.codec, cache, record, &mut self.frame)?;
-                self.produced += self.frame.len() as u64;
                 self.frame_stats.frames += 1;
-                Ok(Some(FrameSlot::Buffer))
+                self.frame.len()
             }
-        }
+        };
+        self.remaining = len;
+        self.produced += len as u64;
+        Ok(true)
     }
 
-    /// Accounting for the [`AtcReader::next_frame`] path: frames decoded
-    /// and column bytes borrowed in place vs copied through scratch.
+    /// Accounting for the frames parsed so far: frames decoded and column
+    /// bytes borrowed in place vs copied through scratch.
     pub fn frame_stats(&self) -> FrameReadStats {
         self.frame_stats
     }
 
-    /// Fails if an earlier `decode`/`next_frame` call errored.
+    /// Fails if an earlier `decode`/`next_frame`/`seek` call errored.
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
             Some(msg) => Err(AtcError::Format(format!(
@@ -583,6 +565,14 @@ impl AtcReader {
             ))),
             None => Ok(()),
         }
+    }
+
+    /// Records the first error so every later call keeps failing.
+    fn latch<T>(&mut self, result: Result<T>) -> Result<T> {
+        if let Err(e) = &result {
+            self.poisoned = Some(e.to_string());
+        }
+        result
     }
 
     /// Fails if the stream ended before `meta.count` addresses.
@@ -600,21 +590,16 @@ impl AtcReader {
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`AtcReader::decode`].
+    /// Propagates the first error from [`AtcReader::next_frame`].
     pub fn decode_all(&mut self) -> Result<Vec<u64>> {
         // The header's count is untrusted until the trace is fully read,
         // so cap the header-driven preallocation.
-        let remaining = self.meta.count.saturating_sub(self.produced);
-        let mut out = Vec::with_capacity(remaining.min(1 << 24) as usize);
-        while let Some(v) = self.decode()? {
-            out.push(v);
+        let left = self.meta.count.saturating_sub(self.produced) + self.remaining as u64;
+        let mut out = Vec::with_capacity(left.min(1 << 24) as usize);
+        while let Some(frame) = self.next_frame()? {
+            out.extend_from_slice(frame);
         }
         Ok(out)
-    }
-
-    /// Adapts the reader into an iterator of `Result<u64>`.
-    pub fn values(&mut self) -> Values<'_> {
-        Values { reader: self }
     }
 
     /// Repositions the reader so the next value decoded is the first
@@ -627,14 +612,14 @@ impl AtcReader {
     /// back to a linear decode-and-discard up to the target.
     ///
     /// Seeking is frame-granular because frames are the compression
-    /// unit; callers wanting address granularity seek to
-    /// `addr / meta.buffer` and discard `addr % meta.buffer` values.
-    /// Seeking to the one-past-the-end frame is allowed and behaves like
-    /// a fully drained reader. After a seek the payload decodes on the
-    /// calling thread ([`ReadOptions::threads`] accelerates linear
-    /// scans, which a seek is not); the [`ReadOptions::segment_cache`],
-    /// when configured, is consulted so repeated seeks into hot
-    /// segments skip even the one decode.
+    /// unit; [`AtcReader::seek_to_value`] adds the in-frame step for
+    /// callers wanting address granularity. Seeking to the
+    /// one-past-the-end frame is allowed and behaves like a fully drained
+    /// reader. After a seek the payload decodes on the calling thread
+    /// ([`ReadOptions::threads`] accelerates linear scans, which a seek
+    /// is not); the [`ReadOptions::segment_cache`], when configured, is
+    /// consulted so repeated seeks into hot segments skip even the one
+    /// decode.
     ///
     /// # Errors
     ///
@@ -644,10 +629,44 @@ impl AtcReader {
     pub fn seek(&mut self, frame_no: u64) -> Result<()> {
         self.check_poisoned()?;
         let result = self.seek_inner(frame_no);
-        if let Err(e) = &result {
-            self.poisoned = Some(e.to_string());
+        self.latch(result)
+    }
+
+    /// Repositions the reader so the next value decoded is address number
+    /// `pos` of the trace: a frame [`AtcReader::seek`] plus, when `pos`
+    /// falls inside a frame, parsing that frame and skipping its first
+    /// `pos % meta.buffer` values in one step.
+    ///
+    /// # Errors
+    ///
+    /// Fails on `pos` past the trace's count and on anything
+    /// [`AtcReader::seek`] can fail on. Errors latch.
+    pub fn seek_to_value(&mut self, pos: u64) -> Result<()> {
+        self.check_poisoned()?;
+        let result = self.seek_to_value_inner(pos);
+        self.latch(result)
+    }
+
+    fn seek_to_value_inner(&mut self, pos: u64) -> Result<()> {
+        if pos > self.meta.count {
+            return Err(AtcError::Format(format!(
+                "seek target {pos} is past the trace's {} addresses",
+                self.meta.count
+            )));
         }
-        result
+        // buffer == 0 is seek_inner's error to report.
+        let buffer = self.meta.buffer.max(1);
+        self.seek_inner(pos / buffer)?;
+        let skip = pos % buffer;
+        if skip > 0 {
+            if !self.advance_inner()? || (self.remaining as u64) < skip {
+                return Err(AtcError::Format(format!(
+                    "trace ended while seeking to its address {pos}"
+                )));
+            }
+            self.remaining -= skip as usize;
+        }
+        Ok(())
     }
 
     fn seek_inner(&mut self, frame_no: u64) -> Result<()> {
@@ -700,19 +719,8 @@ impl AtcReader {
             frame_no.checked_mul(frame_raw).ok_or_else(past_end)?
         };
 
-        self.pending.clear();
-        self.exhausted = false;
-        let table = load_seek_table(&self.dir, &self.meta);
-        if table.is_none() {
-            self.warn_linear_fallback();
-        }
-        let threads = self.threads;
-        let engine = self.engine.clone();
-        let data_path = self.dir.join(format::DATA_FILE);
-        let State::Lossless { stream } = &mut self.state else {
-            unreachable!("checked above");
-        };
-        match table {
+        self.remaining = 0;
+        let fresh = match load_seek_table(&self.dir, &self.meta) {
             Some(table) => {
                 if target_raw > table.total_raw_bytes() {
                     return Err(AtcError::Format(format!(
@@ -720,137 +728,30 @@ impl AtcReader {
                         table.total_raw_bytes()
                     )));
                 }
-                if let Some(cache) = &self.segment_cache {
-                    let mut cached = CachedSegmentStream::new(
-                        File::open(&data_path)?,
-                        Arc::clone(&self.codec),
-                        table,
-                        trace_id(&self.dir),
-                        Arc::clone(cache),
-                    );
-                    cached.seek_to_raw(target_raw)?;
-                    *stream = SegmentStream::Cached(cached);
-                } else {
-                    let mut file = File::open(&data_path)?;
-                    let (file_offset, in_segment) = match table.locate(target_raw) {
-                        Some(idx) => (
-                            table.segments()[idx].file_offset,
-                            target_raw - table.raw_start(idx),
-                        ),
-                        // Exactly at end of payload: park on the
-                        // end-of-stream marker after the last segment.
-                        None => {
-                            let end = table
-                                .segments()
-                                .last()
-                                .map_or(0, |s| s.file_offset + s.compressed_len);
-                            (end, 0)
-                        }
-                    };
-                    file.seek(SeekFrom::Start(file_offset))?;
-                    let mut reader =
-                        CodecReader::new(BufReader::new(file), Arc::clone(&self.codec));
-                    skip_raw(&mut reader, in_segment)?;
-                    *stream = SegmentStream::Serial(reader);
-                }
+                let mut stream = TableSegmentStream::open(
+                    &self.dir,
+                    &self.codec,
+                    table,
+                    self.segment_cache.clone(),
+                )?;
+                stream.seek_to_raw(target_raw)?;
+                SegmentStream::Table(stream)
             }
             None => {
-                let mut fresh =
-                    SegmentStream::open(&data_path, &self.codec, threads, engine.as_ref())?;
-                skip_raw(&mut fresh, target_raw)?;
-                *stream = fresh;
+                self.warn_linear_fallback();
+                let mut stream = SegmentStream::open(
+                    &self.dir.join(format::DATA_FILE),
+                    &self.codec,
+                    self.threads,
+                    self.engine.as_ref(),
+                )?;
+                skip_raw(&mut stream, target_raw)?;
+                stream
             }
-        }
+        };
+        self.state = State::Lossless { stream: fresh };
         self.produced = target_value;
         Ok(())
-    }
-
-    /// Decodes the whole trace by fanning every compressed segment out
-    /// over the engine as one scope — no readahead window, no ordered
-    /// reassembly stage: the seek sidecar says where each segment's
-    /// decoded bytes land, so every worker decompresses straight into
-    /// its disjoint slice of one flat buffer and the frames are parsed
-    /// from it sequentially afterwards.
-    ///
-    /// Requires a fresh reader (nothing decoded yet) and a lossless
-    /// trace with a seek sidecar; anything else falls back to
-    /// [`AtcReader::decode_all`] (warning once on stderr when the
-    /// fallback is a missing sidecar). Uses [`ReadOptions::engine`] if
-    /// one was injected, else the process-wide engine grown to
-    /// [`ReadOptions::threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O, codec, and format errors; errors latch.
-    pub fn decode_all_flat(&mut self) -> Result<Vec<u64>> {
-        self.check_poisoned()?;
-        if !matches!(self.state, State::Lossless { .. })
-            || self.produced != 0
-            || !self.pending.is_empty()
-            || self.exhausted
-        {
-            return self.decode_all();
-        }
-        let Some(table) = load_seek_table(&self.dir, &self.meta) else {
-            self.warn_linear_fallback();
-            return self.decode_all();
-        };
-        let result = self.decode_all_flat_inner(&table);
-        if let Err(e) = &result {
-            self.poisoned = Some(e.to_string());
-        }
-        result
-    }
-
-    fn decode_all_flat_inner(&mut self, table: &format::SeekTable) -> Result<Vec<u64>> {
-        let data = std::fs::read(self.dir.join(format::DATA_FILE))?;
-        let raw_total = usize::try_from(table.total_raw_bytes())
-            .map_err(|_| AtcError::Format("sidecar raw size overflows usize".into()))?;
-        let mut raw = vec![0u8; raw_total];
-        // Carve the flat buffer into per-segment output slices: the
-        // sidecar's raw lengths are contiguous from zero by construction.
-        let mut slices = Vec::with_capacity(table.len());
-        let mut rest = raw.as_mut_slice();
-        for seg in table.segments() {
-            let raw_len = usize::try_from(seg.raw_len)
-                .map_err(|_| AtcError::Format("segment raw size overflows usize".into()))?;
-            let (head, tail) = rest.split_at_mut(raw_len);
-            slices.push(head);
-            rest = tail;
-        }
-        let errors: Vec<Mutex<Option<String>>> =
-            table.segments().iter().map(|_| Mutex::new(None)).collect();
-        let engine = match &self.engine {
-            Some(e) => e.clone(),
-            None => Engine::global_with(self.threads),
-        };
-        let codec = &self.codec;
-        let data = &data;
-        engine.scope(|scope| {
-            for ((seg, out), slot) in table.segments().iter().zip(slices).zip(&errors) {
-                let codec = Arc::clone(codec);
-                let seg = *seg;
-                scope.spawn(move || {
-                    if let Err(msg) = decode_segment_into(&codec, data, &seg, out) {
-                        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(msg);
-                    }
-                });
-            }
-        });
-        for slot in &errors {
-            if let Some(msg) = slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                return Err(AtcError::Format(msg));
-            }
-        }
-        let mut cur: &[u8] = &raw;
-        let mut out = Vec::with_capacity(self.meta.count.min(1 << 24) as usize);
-        while let Some(frame) = format::read_frame(&mut cur)? {
-            out.extend(frame);
-        }
-        self.produced = out.len() as u64;
-        self.exhausted = true;
-        self.check_complete()?;
-        Ok(out)
     }
 
     /// Compressed segments decoded by the current payload stream (since
@@ -878,33 +779,12 @@ impl AtcReader {
             );
         }
     }
-
-    fn refill(&mut self) -> Result<bool> {
-        if self.exhausted {
-            return Ok(false);
-        }
-        match &mut self.state {
-            State::Lossless { stream } => match format::read_frame(stream)? {
-                Some(addrs) => {
-                    self.pending.extend(addrs);
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
-            State::Lossy { info, cache } => {
-                let Some(record) = IntervalRecord::read(info)? else {
-                    return Ok(false);
-                };
-                materialize_interval(&self.dir, &self.codec, cache, record, &mut self.pending)?;
-                Ok(true)
-            }
-        }
-    }
 }
 
 /// Loads and validates the trace's seek sidecar; `None` means "no usable
-/// sidecar" (absent, unreadable, malformed, or disagreeing with `meta`) —
-/// the caller falls back to linear decoding, it is never a hard error.
+/// sidecar" (absent, unreadable, malformed, disagreeing with `meta`, or
+/// describing more compressed bytes than the payload file holds) — the
+/// caller falls back to linear decoding, it is never a hard error.
 fn load_seek_table(dir: &Path, meta: &Meta) -> Option<format::SeekTable> {
     let bytes = std::fs::read(dir.join(format::SEEK_FILE)).ok()?;
     let table = format::SeekTable::decode(&bytes).ok()?;
@@ -912,6 +792,16 @@ fn load_seek_table(dir: &Path, meta: &Meta) -> Option<format::SeekTable> {
         if n != table.len() as u64 {
             return None;
         }
+    }
+    // Segment reads size their buffers from the table, so a forged length
+    // must not reach them: everything the table spans has to exist.
+    let data_len = std::fs::metadata(dir.join(format::DATA_FILE)).ok()?.len();
+    let spanned = table
+        .segments()
+        .last()
+        .map_or(0, |s| s.file_offset + s.compressed_len);
+    if spanned > data_len {
+        return None;
     }
     Some(table)
 }
@@ -921,8 +811,8 @@ fn varint_len(value: u64) -> u64 {
     u64::from((64 - value.leading_zeros()).max(1)).div_ceil(7)
 }
 
-/// Reads and discards exactly `n` decoded bytes (positioning within a
-/// segment, or the whole linear-fallback skip).
+/// Reads and discards exactly `n` decoded bytes (the linear-fallback
+/// skip to a seek target).
 fn skip_raw<R: Read>(r: &mut R, n: u64) -> Result<()> {
     let skipped = std::io::copy(&mut r.by_ref().take(n), &mut std::io::sink())?;
     if skipped != n {
@@ -933,59 +823,14 @@ fn skip_raw<R: Read>(r: &mut R, n: u64) -> Result<()> {
     Ok(())
 }
 
-/// Decompresses one sidecar-described segment of `data` into its slice of
-/// the flat output buffer (the [`AtcReader::decode_all_flat`] worker).
-/// Returns the error as a message so workers on different threads can
-/// report through a plain slot.
-fn decode_segment_into(
-    codec: &Arc<dyn Codec>,
-    data: &[u8],
-    seg: &SegmentRecord,
-    out: &mut [u8],
-) -> std::result::Result<(), String> {
-    let start = usize::try_from(seg.file_offset).map_err(|_| "segment offset overflow")?;
-    let len = usize::try_from(seg.compressed_len).map_err(|_| "segment length overflow")?;
-    let mut cur = data
-        .get(start..start.checked_add(len).ok_or("segment extent overflow")?)
-        .ok_or_else(|| {
-            format!(
-                "sidecar segment at {start}+{len} runs past the {}-byte payload file",
-                data.len()
-            )
-        })?;
-    let payload = varint::read_u64(&mut cur).map_err(|e| e.to_string())? as usize;
-    if payload != cur.len() {
-        return Err(format!(
-            "segment frames {payload} payload bytes but the sidecar spans {}",
-            cur.len()
-        ));
-    }
-    let mut raw = Vec::with_capacity(out.len());
-    codec
-        .decompress_into(cur, &mut raw)
-        .map_err(|e| e.to_string())?;
-    if raw.len() != out.len() {
-        return Err(format!(
-            "segment decoded to {} bytes, sidecar says {}",
-            raw.len(),
-            out.len()
-        ));
-    }
-    out.copy_from_slice(&raw);
-    Ok(())
-}
-
 /// Decodes one interval record into `out`: loads its chunk (through the
-/// cache) and applies the recorded translations. Shared by the value
-/// ([`AtcReader::decode`]) and frame ([`AtcReader::next_frame`]) paths so
-/// the chunk-length validation and translation handling cannot drift
-/// apart.
-fn materialize_interval<C: Extend<u64>>(
+/// cache) and applies the recorded translations.
+fn materialize_interval(
     dir: &Path,
     codec: &Arc<dyn Codec>,
     cache: &mut ChunkCache,
     record: IntervalRecord,
-    out: &mut C,
+    out: &mut Vec<u64>,
 ) -> Result<()> {
     match record {
         IntervalRecord::NewChunk { chunk_id, len } => {
@@ -996,7 +841,7 @@ fn materialize_interval<C: Extend<u64>>(
                     addrs.len()
                 )));
             }
-            out.extend(addrs.iter().copied());
+            out.extend_from_slice(&addrs);
         }
         IntervalRecord::Imitate {
             chunk_id,
@@ -1004,7 +849,7 @@ fn materialize_interval<C: Extend<u64>>(
         } => {
             let addrs = cache.load(dir, codec, chunk_id)?;
             if translations.iter().all(Option::is_none) {
-                out.extend(addrs.iter().copied());
+                out.extend_from_slice(&addrs);
             } else {
                 let t: &[Option<Translation>; COLUMNS] = &translations;
                 out.extend(addrs.iter().map(|&a| translate_addr(a, t)));
@@ -1012,28 +857,6 @@ fn materialize_interval<C: Extend<u64>>(
         }
     }
     Ok(())
-}
-
-/// Where [`AtcReader::next_frame`] left the decoded frame.
-enum FrameSlot {
-    /// In the bytesort inverse's output buffer (borrowed lossless path).
-    Inverse,
-    /// In the reader's own frame buffer (lossy / interleave path).
-    Buffer,
-}
-
-/// Iterator over decoded values (see [`AtcReader::values`]).
-#[derive(Debug)]
-pub struct Values<'r> {
-    reader: &'r mut AtcReader,
-}
-
-impl Iterator for Values<'_> {
-    type Item = Result<u64>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.reader.decode().transpose()
-    }
 }
 
 /// LRU cache of decompressed chunks.
@@ -1046,6 +869,9 @@ struct ChunkCache {
     engine: Option<Engine>,
     /// Most recently used last.
     entries: Vec<(u64, Arc<Vec<u64>>)>,
+    /// Frame decoder state reused across chunk loads.
+    inverse: BytesortInverse,
+    col_scratch: Vec<u8>,
 }
 
 impl ChunkCache {
@@ -1055,6 +881,8 @@ impl ChunkCache {
             threads,
             engine,
             entries: Vec::new(),
+            inverse: BytesortInverse::default(),
+            col_scratch: Vec::new(),
         }
     }
 
@@ -1071,8 +899,14 @@ impl ChunkCache {
                 AtcError::Format(format!("cannot open chunk file {}: {e}", path.display()))
             })?;
         let mut addrs = Vec::new();
-        while let Some(frame) = format::read_frame(&mut stream)? {
-            addrs.extend(frame);
+        let mut stats = FrameReadStats::default();
+        while format::read_frame_borrowed(
+            &mut stream,
+            &mut self.inverse,
+            &mut self.col_scratch,
+            &mut stats,
+        )? {
+            addrs.extend_from_slice(self.inverse.finish()?);
         }
         let addrs = Arc::new(addrs);
         if self.entries.len() == self.capacity {
@@ -1093,6 +927,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("atc-reader-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Drains the reader through the per-value cursor (`decode_all` rides
+    /// `next_frame`, so the decode-vs-frame tests need this).
+    fn decode_each(r: &mut AtcReader) -> Vec<u64> {
+        let mut out = Vec::new();
+        while let Some(v) = r.decode().unwrap() {
+            out.push(v);
+        }
+        out
     }
 
     #[test]
@@ -1213,18 +1057,6 @@ mod tests {
         assert_eq!(out.len(), 250);
         // The final partial interval is stored losslessly.
         assert_eq!(&out[200..], &addrs[200..]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn values_iterator() {
-        let dir = tmp("values");
-        let mut w = AtcWriter::create(&dir, Mode::Lossless).unwrap();
-        w.code_all([1u64, 2, 3]).unwrap();
-        w.finish().unwrap();
-        let mut r = AtcReader::open(&dir).unwrap();
-        let vals: Vec<u64> = r.values().map(|v| v.unwrap()).collect();
-        assert_eq!(vals, vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1357,8 +1189,7 @@ mod tests {
                 )
                 .unwrap()
             };
-            let mut by_decode = open();
-            let expect = by_decode.decode_all().unwrap();
+            let expect = decode_each(&mut open());
             let mut by_frames = open();
             let mut got = Vec::new();
             let mut frames = 0u64;
@@ -1441,8 +1272,7 @@ mod tests {
         w.code_all((0..100u64).map(|i| i * 8)).unwrap(); // partial tail
         w.finish().unwrap();
 
-        let mut by_decode = AtcReader::open(&dir).unwrap();
-        let expect = by_decode.decode_all().unwrap();
+        let expect = decode_each(&mut AtcReader::open(&dir).unwrap());
         let mut by_frames = AtcReader::open(&dir).unwrap();
         let mut got = Vec::new();
         let mut sizes = Vec::new();
@@ -1461,33 +1291,60 @@ mod tests {
 
     #[test]
     fn next_frame_interleaves_with_decode() {
-        let addrs: Vec<u64> = (0..3000u64).map(|i| i * 13).collect();
-        let dir = tmp("frames-interleave");
+        // Take k values through decode(), then a frame: next_frame must
+        // hand out exactly the rest of the current frame (or the next
+        // whole frame once it is used up), for every k in one frame, and
+        // the two cursors together must reproduce the value sequence.
+        const FRAME: usize = 64;
+        let lossless: Vec<u64> = (0..160u64).map(|i| i * 13).collect();
+        let lossless_dir = tmp("frames-interleave");
+        write_segmented(&lossless_dir, &lossless, "store", FRAME);
+
+        let lossy_dir = tmp("frames-interleave-lossy");
+        let cfg = LossyConfig {
+            interval_len: FRAME,
+            ..LossyConfig::default()
+        };
         let mut w = AtcWriter::with_options(
-            &dir,
-            Mode::Lossless,
+            &lossy_dir,
+            Mode::Lossy(cfg),
             AtcOptions {
                 codec: "store".into(),
-                buffer: 1000,
+                buffer: 32,
                 threads: 1,
             },
         )
         .unwrap();
-        w.code_all(addrs.iter().copied()).unwrap();
+        for region in [0xF2u64, 0xF3, 0xA1] {
+            w.code_all((0..FRAME as u64).map(|i| (region << 8) + i))
+                .unwrap();
+        }
         w.finish().unwrap();
+        let lossy = AtcReader::open(&lossy_dir).unwrap().decode_all().unwrap();
+        assert_eq!(lossy.len(), 3 * FRAME);
 
-        let mut r = AtcReader::open(&dir).unwrap();
-        let mut got = Vec::new();
-        // Pull a few values through decode (buffering a frame), then
-        // switch to frames: the buffered tail must come out first.
-        for _ in 0..5 {
-            got.push(r.decode().unwrap().unwrap());
+        for (dir, expect) in [(&lossless_dir, &lossless), (&lossy_dir, &lossy)] {
+            for k in 0..=FRAME {
+                let mut r = AtcReader::open(dir).unwrap();
+                let mut got = Vec::new();
+                for _ in 0..k {
+                    got.push(r.decode().unwrap().unwrap());
+                }
+                let frame = r.next_frame().unwrap().unwrap();
+                let want = if k == FRAME { FRAME } else { FRAME - k };
+                assert_eq!(frame.len(), want, "k={k}");
+                got.extend_from_slice(frame);
+                // Back to decode mid-stream, then frames to the end.
+                got.extend(r.decode().unwrap());
+                while let Some(frame) = r.next_frame().unwrap() {
+                    got.extend_from_slice(frame);
+                }
+                assert_eq!(&got, expect, "k={k}");
+                assert_eq!(r.decode().unwrap(), None, "k={k}");
+            }
         }
-        while let Some(frame) = r.next_frame().unwrap() {
-            got.extend_from_slice(frame);
-        }
-        assert_eq!(got, addrs);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&lossless_dir).unwrap();
+        std::fs::remove_dir_all(&lossy_dir).unwrap();
     }
 
     #[test]
@@ -1541,10 +1398,31 @@ mod tests {
             assert!(got.len() < addrs.len(), "threads={threads}");
             assert_eq!(got.len() % 1000, 0, "threads={threads}");
             assert_eq!(got, addrs[..got.len()], "threads={threads}");
-            // The error latches: later calls must keep failing.
+            // The error latches on both entry points: later calls must
+            // keep failing.
             for _ in 0..3 {
                 assert!(r.next_frame().is_err(), "threads={threads}");
+                assert!(r.decode().is_err(), "threads={threads}");
             }
+
+            // Same stream through the value cursor: intact prefix, then a
+            // latched failure that next_frame sees too.
+            let mut r = AtcReader::open_with(
+                &dir,
+                ReadOptions {
+                    threads,
+                    ..ReadOptions::default()
+                },
+            )
+            .unwrap();
+            let mut n = 0usize;
+            while let Ok(v) = r.decode() {
+                assert_eq!(v, Some(addrs[n]), "threads={threads}");
+                n += 1;
+            }
+            assert_eq!(n, got.len(), "threads={threads}");
+            assert!(r.decode().is_err(), "threads={threads}");
+            assert!(r.next_frame().is_err(), "threads={threads}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1588,6 +1466,27 @@ mod tests {
         }
         // Past-the-end seeks fail cleanly (and latch).
         assert!(r.seek(frames + 1).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn seek_to_value_matches_linear_decode() {
+        let addrs: Vec<u64> = (0..2_500u64).map(|i| i.wrapping_mul(0x9E37)).collect();
+        let dir = tmp("seek-value");
+        write_segmented(&dir, &addrs, "lz", 700); // 700 + 700 + 700 + 400
+        let mut r = AtcReader::open(&dir).unwrap();
+        for pos in [0u64, 1, 699, 700, 701, 2_099, 2_100, 2_499, 2_500, 13] {
+            r.seek_to_value(pos).unwrap();
+            // The value cursor and the frame path agree on where we are.
+            if pos < 2_500 {
+                assert_eq!(r.decode().unwrap(), Some(addrs[pos as usize]), "pos {pos}");
+                let rest = r.decode_all().unwrap();
+                assert_eq!(rest, &addrs[pos as usize + 1..], "pos {pos}");
+            }
+            assert_eq!(r.decode().unwrap(), None, "pos {pos}");
+        }
+        assert!(r.seek_to_value(2_501).is_err());
+        assert!(r.decode().is_err(), "a failed seek latches");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1687,42 +1586,6 @@ mod tests {
         seeker.seek(150).unwrap();
         assert_eq!(seeker.decode().unwrap(), Some(addrs[150_000]));
         assert_eq!(seeker.segments_decoded(), Some(0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn decode_all_flat_matches_streaming() {
-        let addrs: Vec<u64> = (0..250_000u64).map(|i| i.wrapping_mul(0xABCD)).collect();
-        let dir = tmp("flat-decode");
-        for codec in ["lz", "bzip", "store"] {
-            write_segmented(&dir, &addrs, codec, 900);
-            let mut streaming = AtcReader::open(&dir).unwrap();
-            let expect = streaming.decode_all().unwrap();
-            for threads in [1usize, 4] {
-                let mut flat = AtcReader::open_with(
-                    &dir,
-                    ReadOptions {
-                        threads,
-                        ..ReadOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(flat.decode_all_flat().unwrap(), expect, "{codec}/{threads}");
-                // The reader is drained, not rewound.
-                assert_eq!(flat.decode().unwrap(), None, "{codec}/{threads}");
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn decode_all_flat_falls_back_without_sidecar() {
-        let addrs: Vec<u64> = (0..50_000u64).map(|i| i * 3).collect();
-        let dir = tmp("flat-fallback");
-        write_segmented(&dir, &addrs, "lz", 500);
-        std::fs::remove_file(dir.join(format::SEEK_FILE)).unwrap();
-        let mut r = AtcReader::open(&dir).unwrap();
-        assert_eq!(r.decode_all_flat().unwrap(), addrs);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,7 +10,7 @@ use crate::policy::ShardPolicy;
 
 /// One shard's decoded-but-unmerged values: a flat buffer plus a consume
 /// cursor, so refills are single `extend_from_slice` copies of whole
-/// frames and the zipper reads plain slices (no deque bookkeeping per
+/// frames and the zippers read plain slices (no deque bookkeeping per
 /// value).
 #[derive(Debug, Default)]
 struct ShardBuf {
@@ -38,14 +38,6 @@ impl ShardBuf {
         }
         self.vals.extend_from_slice(frame);
     }
-
-    fn pop(&mut self) -> Option<u64> {
-        let v = self.vals.get(self.head).copied();
-        if v.is_some() {
-            self.head += 1;
-        }
-        v
-    }
 }
 
 /// How the merged cursor reassembles the global stream (decided once at
@@ -56,22 +48,21 @@ enum MergeMode {
     /// rotation — the degenerate interleave track that never needs to be
     /// recorded.
     Rotation,
-    /// Exact arrival order replayed from the manifest's recorded
-    /// [`InterleaveTrack`](atc_core::format::InterleaveTrack) (data-
-    /// dependent policies, manifest version ≥ 2).
-    Track,
-    /// No track on disk (version-1 manifest under `addr-range` /
-    /// `thread-id`): shards concatenate in shard order, the pre-track
-    /// behavior.
-    Concat,
+    /// Replays a list of `(shard, run length)` runs: the manifest's
+    /// recorded [`InterleaveTrack`](atc_core::format::InterleaveTrack)
+    /// (exact arrival order; data-dependent policies, manifest version
+    /// ≥ 2), or — for a version-1 manifest with no track — one synthesized
+    /// run per shard, i.e. shard concatenation.
+    Runs,
 }
 
 /// A reader over a store written by [`AtcStore`](crate::AtcStore).
 ///
 /// Two read shapes:
 ///
-/// * **Merged** ([`StoreReader::decode`] / [`StoreReader::decode_all`]) —
-///   one logical stream across all shards, replayed in the *exact*
+/// * **Merged** ([`StoreReader::next_block`], and [`StoreReader::decode`]
+///   / [`StoreReader::decode_all`] / [`StoreReader::read_range`] over it)
+///   — one logical stream across all shards, replayed in the *exact*
 ///   original arrival order whenever the order is knowable: round-robin
 ///   derives it from the rotation, and every other policy replays the
 ///   manifest's recorded interleave track (manifest version ≥ 2). Only a
@@ -83,37 +74,33 @@ enum MergeMode {
 ///   — direct access to each shard's [`AtcReader`] cursor, e.g. to fan
 ///   shards out to analysis threads.
 ///
-/// Shard payloads refill through the zero-copy
-/// [`AtcReader::next_frame`] path, so the merged cursor rides the
-/// readahead reassembly buffers when [`ReadOptions::threads`] > 1; every
-/// shard's decode tasks share one engine (injected through
-/// [`ReadOptions::engine`], or the process-wide default).
+/// Shard payloads refill through [`AtcReader::next_frame`], so the merged
+/// cursor rides the readahead reassembly buffers when
+/// [`ReadOptions::threads`] > 1; every shard's decode tasks share one
+/// engine (injected through [`ReadOptions::engine`], or the process-wide
+/// default).
 ///
-/// The exact merged cursor is *batched*: instead of stepping one value at
-/// a time through the per-shard buffers (a modulo or run lookup, a pop,
-/// and a bounds check per address), it fills a flat merged buffer in bulk
-/// — whole frame-sized rotations for round-robin, whole run slices for a
-/// recorded track — so the per-value cost of the hot `decode()` loop is
-/// an indexed read.
+/// The merged cursor works a block at a time: it fills a flat merged
+/// buffer in bulk — frame-sized stretches of the rotation for
+/// round-robin, whole run slices otherwise — so the per-value cost of a
+/// `decode()` loop is an indexed read.
 #[derive(Debug)]
 pub struct StoreReader {
     manifest: StoreManifest,
     policy: ShardPolicy,
     mode: MergeMode,
+    /// Whether the merge replays the exact arrival order.
+    exact: bool,
     shards: Vec<AtcReader>,
     /// Per-shard decoded values not yet merged out.
     bufs: Vec<ShardBuf>,
-    /// Bulk-merged values awaiting hand-out (exact merge modes only).
+    /// The current merged block.
     merged: Vec<u64>,
-    /// Cursor into `merged`.
+    /// Values of `merged` already handed out.
     merged_pos: usize,
-    /// Batched merging on/off (see [`StoreReader::merge_batching`]).
-    batch: bool,
-    /// Addresses handed out by the merged cursor.
+    /// Addresses merged so far (handed out, or waiting in `merged`).
     produced: u64,
-    /// Current shard for shard-ordered (concatenation) merging.
-    cursor: usize,
-    /// Recorded interleave runs ([`MergeMode::Track`] only).
+    /// The `(shard, length)` runs [`MergeMode::Runs`] replays.
     runs: Vec<(u32, u64)>,
     /// Current run in `runs`.
     run_idx: usize,
@@ -197,41 +184,33 @@ impl StoreReader {
         // always exact (synthesized rotation); other policies are exact
         // when the manifest recorded the interleave track, and fall back
         // to concatenation for old track-less manifests.
-        let (mode, runs) = if policy.merge_is_exact() {
-            (MergeMode::Rotation, Vec::new())
+        let (mode, exact, runs) = if policy.merge_is_exact() {
+            (MergeMode::Rotation, true, Vec::new())
         } else if let Some(track) = &manifest.interleave {
             // The track was validated against shard_counts at parse time,
             // and shard_counts against each shard's meta above, so every
             // run below names a real shard holding enough addresses.
-            (MergeMode::Track, track.runs().to_vec())
+            (MergeMode::Runs, true, track.runs().to_vec())
         } else {
-            (MergeMode::Concat, Vec::new())
+            let whole_shards = manifest.shard_counts.iter().enumerate();
+            let runs = whole_shards.map(|(i, &c)| (i as u32, c)).collect();
+            (MergeMode::Runs, false, runs)
         };
         Ok(Self {
             manifest,
             policy,
             mode,
+            exact,
             shards,
             bufs,
             merged: Vec::new(),
             merged_pos: 0,
-            batch: true,
             produced: 0,
-            cursor: 0,
             runs,
             run_idx: 0,
             run_off: 0,
             end_verified: false,
         })
-    }
-
-    /// Enables or disables bulk merging (on by default) for the exact
-    /// merge modes. Off, the merged cursor steps one value at a time
-    /// through the per-shard buffers — the pre-batching behavior, kept as
-    /// a reference for the `store` bench's `read_stepwise` axis and for
-    /// debugging. Both modes produce identical values.
-    pub fn merge_batching(&mut self, enabled: bool) {
-        self.batch = enabled;
     }
 
     /// Whether the merged cursor replays the exact global arrival order.
@@ -240,7 +219,7 @@ impl StoreReader {
     /// under `addr-range` / `thread-id`, which merge as shard
     /// concatenation.
     pub fn merge_is_exact(&self) -> bool {
-        self.mode != MergeMode::Concat
+        self.exact
     }
 
     /// The store manifest.
@@ -276,82 +255,36 @@ impl StoreReader {
         self.shards
     }
 
-    /// Decodes the next merged value; `Ok(None)` at clean end of store.
+    /// Hands out the next block of the merged stream — the store's
+    /// analogue of [`AtcReader::next_frame`] — as a borrowed slice, valid
+    /// until the next call on this reader; `Ok(None)` at clean end of
+    /// store. Blocks are never empty, their sizes are an implementation
+    /// detail (roughly a frame), and after a partial
+    /// [`StoreReader::decode`] the block is the rest of the current one.
     ///
     /// # Errors
     ///
     /// Propagates shard reader errors, and reports a store whose shards
     /// end before — or hold data beyond — the manifest's count.
-    pub fn decode(&mut self) -> Result<Option<u64>> {
-        // Fast path: hand out bulk-merged values from the merged buffer.
-        if self.merged_pos < self.merged.len() {
-            return Ok(Some(self.take_merged()));
-        }
-        if self.produced == self.manifest.count {
-            self.verify_drained()?;
+    pub fn next_block(&mut self) -> Result<Option<&[u64]>> {
+        if self.merged_pos == self.merged.len() && !self.refill_merged()? {
             return Ok(None);
         }
-        let shard_count = self.shards.len() as u64;
-        let shard = match self.mode {
-            MergeMode::Rotation => {
-                if self.batch
-                    && self.produced.is_multiple_of(shard_count)
-                    && self.manifest.count - self.produced >= shard_count
-                {
-                    // Batched rotation: zip whole frame-sized rotations
-                    // across the shards instead of stepping one value at
-                    // a time.
-                    self.refill_rotation_zipper()?;
-                    return Ok(Some(self.take_merged()));
-                }
-                // Deal back in the writer's rotation (the unbatched path:
-                // batching off, or the final partial rotation).
-                (self.produced % shard_count) as usize
-            }
-            MergeMode::Track => {
-                if self.batch {
-                    // Batched replay: copy whole run slices into the
-                    // merged buffer.
-                    self.refill_track_zipper()?;
-                    return Ok(Some(self.take_merged()));
-                }
-                self.track_shard()
-            }
-            MergeMode::Concat => {
-                // Shard-ordered concatenation: advance past drained
-                // shards.
-                while self.cursor < self.shards.len()
-                    && self.bufs[self.cursor].is_empty()
-                    && !self.refill(self.cursor)?
-                {
-                    self.cursor += 1;
-                }
-                if self.cursor == self.shards.len() {
-                    return Err(AtcError::Format(format!(
-                        "store ended after {} of {} addresses",
-                        self.produced, self.manifest.count
-                    )));
-                }
-                self.cursor
-            }
-        };
-        while self.bufs[shard].is_empty() {
-            if !self.refill(shard)? {
-                return Err(AtcError::Format(format!(
-                    "shard {shard} ended after {} of {} store addresses",
-                    self.produced, self.manifest.count
-                )));
-            }
+        let from = std::mem::replace(&mut self.merged_pos, self.merged.len());
+        Ok(Some(&self.merged[from..]))
+    }
+
+    /// Decodes the next merged value; `Ok(None)` at clean end of store.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`StoreReader::next_block`].
+    pub fn decode(&mut self) -> Result<Option<u64>> {
+        if self.merged_pos == self.merged.len() && !self.refill_merged()? {
+            return Ok(None);
         }
-        // atclint: allow(library-unwrap) -- infallible: the refill loop
-        // above either errored out or left the shard's buffer non-empty.
-        let v = self.bufs[shard].pop().expect("refilled above");
-        self.produced += 1;
-        if self.mode == MergeMode::Track {
-            // Only consume the track position once the value is really
-            // handed out (a refill error above must not skip a slot).
-            self.run_off += 1;
-        }
+        let v = self.merged[self.merged_pos];
+        self.merged_pos += 1;
         Ok(Some(v))
     }
 
@@ -359,19 +292,13 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`StoreReader::decode`].
+    /// Propagates the first error from [`StoreReader::next_block`].
     pub fn decode_all(&mut self) -> Result<Vec<u64>> {
-        let remaining = self.manifest.count.saturating_sub(self.produced);
-        let mut out = Vec::with_capacity(remaining.min(1 << 24) as usize);
-        while let Some(v) = self.decode()? {
-            out.push(v);
-            // Bulk-append the rest of the zipped block in one extend
-            // instead of re-entering decode() per value.
-            if self.merged_pos < self.merged.len() {
-                out.extend_from_slice(&self.merged[self.merged_pos..]);
-                self.produced += (self.merged.len() - self.merged_pos) as u64;
-                self.merged_pos = self.merged.len();
-            }
+        let unread = (self.merged.len() - self.merged_pos) as u64;
+        let left = self.manifest.count.saturating_sub(self.produced) + unread;
+        let mut out = Vec::with_capacity(left.min(1 << 24) as usize);
+        while let Some(block) = self.next_block()? {
+            out.extend_from_slice(block);
         }
         Ok(out)
     }
@@ -380,13 +307,11 @@ impl StoreReader {
     /// `decode` returns the store's `pos`-th address) without decoding
     /// the stream in front of it: the target is translated into a
     /// per-shard consumed count — a division for round-robin, a prefix
-    /// walk over the recorded interleave runs, cumulative shard counts
-    /// for the concatenation fallback — and each shard then seeks its
-    /// own trace through [`AtcReader::seek`]'s sidecar fast path
-    /// (decoding at most one segment, plus up to one frame of in-frame
-    /// skip). For a recorded interleave track the run cursor is
-    /// restored mid-run, so replay continues exactly where the writer
-    /// was.
+    /// walk over the runs otherwise — and each shard then seeks its own
+    /// trace through [`AtcReader::seek_to_value`]'s sidecar fast path
+    /// (decoding at most one segment, plus the one frame holding the
+    /// target). The run cursor is restored mid-run, so replay continues
+    /// exactly where the writer was.
     ///
     /// # Errors
     ///
@@ -409,7 +334,7 @@ impl StoreReader {
                     *c = pos / n + u64::from((i as u64) < pos % n);
                 }
             }
-            MergeMode::Track => {
+            MergeMode::Runs => {
                 let mut acc = 0u64;
                 run_idx = self.runs.len();
                 for (i, &(shard, len)) in self.runs.iter().enumerate() {
@@ -424,36 +349,11 @@ impl StoreReader {
                     break;
                 }
             }
-            MergeMode::Concat => {
-                let mut remaining = pos;
-                self.cursor = self.shards.len();
-                for (i, &c) in self.manifest.shard_counts.iter().enumerate() {
-                    if remaining >= c {
-                        consumed[i] = c;
-                        remaining -= c;
-                    } else {
-                        consumed[i] = remaining;
-                        self.cursor = i;
-                        break;
-                    }
-                }
-            }
         }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let buffer = shard.meta().buffer.max(1);
-            shard.seek(consumed[i] / buffer)?;
-            self.bufs[i].vals.clear();
-            self.bufs[i].head = 0;
-            // Discard the in-frame remainder; the frame's tail stays
-            // buffered in the shard reader and merges out first.
-            for _ in 0..(consumed[i] % buffer) {
-                shard.decode()?.ok_or_else(|| {
-                    AtcError::Format(format!(
-                        "shard {i} ended while seeking to its address {}",
-                        consumed[i]
-                    ))
-                })?;
-            }
+        for ((shard, buf), &at) in self.shards.iter_mut().zip(&mut self.bufs).zip(&consumed) {
+            shard.seek_to_value(at)?;
+            buf.vals.clear();
+            buf.head = 0;
         }
         self.merged.clear();
         self.merged_pos = 0;
@@ -465,14 +365,15 @@ impl StoreReader {
     }
 
     /// Reads the half-open global range `range` of the merged stream:
-    /// [`StoreReader::seek_to`] the start, then decode exactly
-    /// `range.end - range.start` values. The result is byte-identical to
-    /// that slice of a full linear [`StoreReader::decode_all`].
+    /// [`StoreReader::seek_to`] the start, then take exactly
+    /// `range.end - range.start` values, leaving the cursor at
+    /// `range.end`. The result is byte-identical to that slice of a full
+    /// linear [`StoreReader::decode_all`].
     ///
     /// # Errors
     ///
     /// Fails on inverted or out-of-bounds ranges and on anything
-    /// [`StoreReader::seek_to`] / [`StoreReader::decode`] can fail on.
+    /// [`StoreReader::seek_to`] / [`StoreReader::next_block`] can fail on.
     pub fn read_range(&mut self, range: std::ops::Range<u64>) -> Result<Vec<u64>> {
         if range.start > range.end || range.end > self.manifest.count {
             return Err(AtcError::Format(format!(
@@ -481,67 +382,49 @@ impl StoreReader {
             )));
         }
         self.seek_to(range.start)?;
-        let want = range.end - range.start;
-        let mut out = Vec::with_capacity(want.min(1 << 24) as usize);
-        while (out.len() as u64) < want {
-            match self.decode()? {
-                Some(v) => {
-                    out.push(v);
-                    // Bulk-drain the zipped block like decode_all, capped
-                    // at what the range still needs.
-                    let need = want as usize - out.len();
-                    let take = need.min(self.merged.len() - self.merged_pos);
-                    out.extend_from_slice(&self.merged[self.merged_pos..self.merged_pos + take]);
-                    self.merged_pos += take;
-                    self.produced += take as u64;
-                }
-                None => {
-                    return Err(AtcError::Format(format!(
-                        "store ended after {} of the {want} addresses in {}..{}",
-                        out.len(),
-                        range.start,
-                        range.end
-                    )));
-                }
-            }
+        let want = (range.end - range.start) as usize;
+        let mut out = Vec::with_capacity(want.min(1 << 24));
+        while out.len() < want {
+            let block = self.next_block()?.ok_or_else(|| {
+                AtcError::Format(format!(
+                    "store ended inside the range {}..{}",
+                    range.start, range.end
+                ))
+            })?;
+            let take = block.len().min(want - out.len());
+            out.extend_from_slice(&block[..take]);
+            // Hand the part of the block past the range back.
+            self.merged_pos -= block.len() - take;
         }
         Ok(out)
     }
 
-    /// Hands out the next bulk-merged value (caller ensured one exists).
-    fn take_merged(&mut self) -> u64 {
-        let v = self.merged[self.merged_pos];
-        self.merged_pos += 1;
-        self.produced += 1;
-        v
-    }
-
-    /// The shard owning the next value according to the recorded
-    /// interleave track, skipping completed runs.
-    fn track_shard(&mut self) -> usize {
-        loop {
-            let (shard, len) = self.runs[self.run_idx];
-            if self.run_off < len {
-                return shard as usize;
-            }
-            self.run_idx += 1;
-            self.run_off = 0;
+    /// Merges the next block into `merged`; `Ok(false)` once the
+    /// manifest's count has been produced and every shard is drained.
+    fn refill_merged(&mut self) -> Result<bool> {
+        if self.produced == self.manifest.count {
+            self.verify_drained()?;
+            return Ok(false);
         }
+        self.merged.clear();
+        self.merged_pos = 0;
+        match self.mode {
+            MergeMode::Rotation => self.zip_rotation()?,
+            MergeMode::Runs => self.zip_runs()?,
+        }
+        self.produced += self.merged.len() as u64;
+        Ok(true)
     }
 
-    /// Replays whole run slices from the recorded track into the flat
-    /// merged buffer: each step bulk-copies `min(run remainder, shard
-    /// buffer)` values, refilling a shard only when the merged buffer is
-    /// still empty (so a value already decoded is never held hostage to
-    /// another shard's I/O).
-    fn refill_track_zipper(&mut self) -> Result<()> {
-        /// Merged values per refill — frame-order magnitude, so the hot
+    /// Replays whole run slices into the flat merged buffer: each step
+    /// bulk-copies `min(run remainder, shard buffer)` values, refilling a
+    /// shard only when the merged buffer is still empty (so a value
+    /// already decoded is never held hostage to another shard's I/O).
+    fn zip_runs(&mut self) -> Result<()> {
+        /// Merged values per block — frame-order magnitude, so the hot
         /// loop amortizes run bookkeeping the way the rotation zipper
         /// amortizes the modulo.
         const TARGET: usize = 4096;
-        debug_assert_eq!(self.merged_pos, self.merged.len(), "merged drained");
-        self.merged.clear();
-        self.merged_pos = 0;
         while self.merged.len() < TARGET {
             let Some(&(shard, len)) = self.runs.get(self.run_idx) else {
                 break;
@@ -558,12 +441,7 @@ impl StoreReader {
                     // on the next call.
                     break;
                 }
-                if !self.refill(shard)? {
-                    return Err(AtcError::Format(format!(
-                        "shard {shard} ended after {} of {} store addresses",
-                        self.produced, self.manifest.count
-                    )));
-                }
+                self.refill_or_ended(shard)?;
             }
             let buf = &mut self.bufs[shard];
             let take = (len - self.run_off)
@@ -579,53 +457,51 @@ impl StoreReader {
             // manifest count, and the caller checked addresses remain);
             // kept as a hard error rather than an index panic.
             return Err(AtcError::Format(format!(
-                "interleave track ended after {} of {} store addresses",
+                "interleave runs ended after {} of {} store addresses",
                 self.produced, self.manifest.count
             )));
         }
         Ok(())
     }
 
-    /// Zips whole rotations (one value per shard, in rotation order) into
-    /// the flat merged buffer: `m = min(values buffered per shard)`
-    /// rotations at a time — frame-sized in the steady state — capped by
-    /// the rotations remaining in the store.
-    fn refill_rotation_zipper(&mut self) -> Result<()> {
-        let shard_count = self.shards.len();
-        let mut m = usize::MAX;
-        for shard in 0..shard_count {
-            while self.bufs[shard].is_empty() {
-                if !self.refill(shard)? {
-                    return Err(AtcError::Format(format!(
-                        "shard {shard} ended after {} of {} store addresses",
-                        self.produced, self.manifest.count
-                    )));
-                }
+    /// Zips the rotation (one value per shard, in shard order) into the
+    /// flat merged buffer, as far as every shard's buffered values reach
+    /// — frame-sized in the steady state — starting at whatever lane the
+    /// cursor is on (a seek can land mid-rotation) and stopping at the
+    /// manifest's count (the last rotation can be partial).
+    fn zip_rotation(&mut self) -> Result<()> {
+        let n = self.shards.len();
+        let left = self.manifest.count - self.produced;
+        let first = (self.produced % n as u64) as usize;
+        // Lane j (the j-th value from here) reads shard `first + j`, then
+        // every n-th value after it; only lanes below `left` are needed.
+        let lanes = n.min(usize::try_from(left).unwrap_or(usize::MAX));
+        let mut len = left;
+        for lane in 0..lanes {
+            let shard = (first + lane) % n;
+            if self.bufs[shard].is_empty() {
+                self.refill_or_ended(shard)?;
             }
-            m = m.min(self.bufs[shard].available());
+            // `a` buffered values carry this lane through position
+            // lane + (a - 1) * n, so the block may hold lane + a * n.
+            let reach = lane as u64 + self.bufs[shard].available() as u64 * n as u64;
+            len = len.min(reach);
         }
-        let remaining_rotations = (self.manifest.count - self.produced) / shard_count as u64;
-        let m = m.min(remaining_rotations.min(usize::MAX as u64) as usize);
-        debug_assert!(m >= 1, "caller checked a full rotation remains");
-        let Self {
-            bufs,
-            merged,
-            merged_pos,
-            ..
-        } = self;
-        merged.clear();
-        merged.resize(m * shard_count, 0);
-        *merged_pos = 0;
+        // Every lane has a value buffered, so `len >= lanes`; and it fits
+        // a usize because it is bounded by the buffered values.
+        let len = len as usize;
+        self.merged.resize(len, 0);
         // Strided transpose: each shard's slice is read sequentially and
         // scattered to its rotation lane in one pass.
-        for (s, buf) in bufs.iter_mut().enumerate() {
-            let slice = &buf.vals[buf.head..buf.head + m];
-            let mut idx = s;
-            for &v in slice {
-                merged[idx] = v;
-                idx += shard_count;
+        for lane in 0..lanes {
+            let buf = &mut self.bufs[(first + lane) % n];
+            let take = (len - lane).div_ceil(n);
+            let mut idx = lane;
+            for &v in &buf.vals[buf.head..buf.head + take] {
+                self.merged[idx] = v;
+                idx += n;
             }
-            buf.head += m;
+            buf.head += take;
         }
         Ok(())
     }
@@ -667,6 +543,18 @@ impl StoreReader {
             }
         }
     }
+
+    /// [`StoreReader::refill`] for a shard the merge still needs values
+    /// from: its clean end is the store ending early.
+    fn refill_or_ended(&mut self, shard: usize) -> Result<()> {
+        if self.refill(shard)? {
+            return Ok(());
+        }
+        Err(AtcError::Format(format!(
+            "shard {shard} ended after {} of {} store addresses",
+            self.produced, self.manifest.count
+        )))
+    }
 }
 
 #[cfg(test)]
@@ -694,32 +582,75 @@ mod tests {
         }
     }
 
+    /// Drains the merged stream through the per-value cursor
+    /// (`decode_all` rides `next_block`).
+    fn decode_each(r: &mut StoreReader) -> Vec<u64> {
+        let mut out = Vec::new();
+        while let Some(v) = r.decode().unwrap() {
+            out.push(v);
+        }
+        out
+    }
+
     #[test]
     fn round_robin_merged_read_is_exact() {
-        let addrs: Vec<u64> = (0..7001u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        for shards in [1usize, 2, 5] {
-            let root = tmp(&format!("rr-{shards}"));
-            let mut s = AtcStore::create(
-                &root,
-                Mode::Lossless,
-                opts(shards, ShardPolicy::RoundRobin, 1),
-            )
-            .unwrap();
-            s.code_all(addrs.iter().copied()).unwrap();
-            s.finish().unwrap();
-            let mut r = StoreReader::open(&root).unwrap();
-            assert_eq!(r.shards(), shards);
-            assert_eq!(r.decode_all().unwrap(), addrs, "shards={shards}");
-            assert_eq!(r.decode().unwrap(), None, "end is sticky");
-            std::fs::remove_dir_all(&root).unwrap();
+        // Counts leave `count % shards` in {0, 1, 2} — for 3 shards, 7000
+        // and 7001 pin the zipper's partial last rotation at both widths
+        // — and the tiny ones leave whole shards empty.
+        for count in [1u64, 2, 7000, 7001] {
+            let addrs: Vec<u64> = (0..count).map(|i| i.wrapping_mul(0x9E37)).collect();
+            for shards in [1usize, 2, 3, 5] {
+                let root = tmp(&format!("rr-{shards}-{count}"));
+                let mut s = AtcStore::create(
+                    &root,
+                    Mode::Lossless,
+                    opts(shards, ShardPolicy::RoundRobin, 1),
+                )
+                .unwrap();
+                s.code_all(addrs.iter().copied()).unwrap();
+                s.finish().unwrap();
+                let mut r = StoreReader::open(&root).unwrap();
+                assert_eq!(r.shards(), shards);
+                assert_eq!(r.decode_all().unwrap(), addrs, "{shards}/{count}");
+                assert_eq!(r.decode().unwrap(), None, "end is sticky");
+                let mut by_value = StoreReader::open(&root).unwrap();
+                assert_eq!(decode_each(&mut by_value), addrs, "{shards}/{count}");
+                std::fs::remove_dir_all(&root).unwrap();
+            }
         }
+    }
+
+    #[test]
+    fn next_block_interleaves_with_decode() {
+        // k values through decode(), then blocks: the first block is the
+        // rest of the current one and the sequence stays exact.
+        let addrs: Vec<u64> = (0..5000u64).map(|i| i * 7).collect();
+        let root = tmp("blocks");
+        let mut s =
+            AtcStore::create(&root, Mode::Lossless, opts(3, ShardPolicy::RoundRobin, 1)).unwrap();
+        s.code_all(addrs.iter().copied()).unwrap();
+        s.finish().unwrap();
+        for k in [0usize, 1, 2, 499, 1500, 1501, 4999, 5000] {
+            let mut r = StoreReader::open(&root).unwrap();
+            let mut got = Vec::new();
+            for _ in 0..k {
+                got.push(r.decode().unwrap().unwrap());
+            }
+            while let Some(block) = r.next_block().unwrap() {
+                assert!(!block.is_empty(), "k={k}");
+                got.extend_from_slice(block);
+            }
+            assert_eq!(got, addrs, "k={k}");
+            assert!(r.next_block().unwrap().is_none(), "end is sticky");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn addr_range_merged_read_replays_exact_interleave() {
         // Two regions interleaved; addr-range routing splits them apart,
         // and the recorded interleave track zips them back in the exact
-        // arrival order — in both the batched and stepwise merge modes.
+        // arrival order — through both the block and the per-value cursor.
         let root = tmp("ar");
         let mut s = AtcStore::create(
             &root,
@@ -741,9 +672,8 @@ mod tests {
         assert!(r.merge_is_exact(), "recorded track makes the merge exact");
         assert_eq!(r.decode_all().unwrap(), expect);
         assert_eq!(r.decode().unwrap(), None, "end is sticky");
-        let mut stepwise = StoreReader::open(&root).unwrap();
-        stepwise.merge_batching(false);
-        assert_eq!(stepwise.decode_all().unwrap(), expect);
+        let mut by_value = StoreReader::open(&root).unwrap();
+        assert_eq!(decode_each(&mut by_value), expect);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

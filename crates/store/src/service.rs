@@ -137,29 +137,24 @@ impl StoreService {
                 range.start, range.end, self.manifest.count
             )));
         }
-        let chunk_values = chunk_values.max(1);
         let mut reader = StoreReader::open_with(&self.root, self.options.clone())?;
         reader.seek_to(range.start)?;
         let mut remaining = range.end - range.start;
-        let mut chunk = Vec::with_capacity(chunk_values.min(remaining as usize + 1));
+        let mut chunker = Chunker::new(chunk_values, remaining, &mut sink);
         while remaining > 0 {
-            let v = reader.decode()?.ok_or_else(|| {
+            let block = reader.next_block()?.ok_or_else(|| {
                 AtcError::Format(format!(
                     "store ended with {remaining} of {}..{} unread",
                     range.start, range.end
                 ))
             })?;
-            chunk.push(v);
-            remaining -= 1;
-            if chunk.len() == chunk_values {
-                sink(&chunk)?;
-                chunk.clear();
-            }
+            let take = block
+                .len()
+                .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+            chunker.push(&block[..take])?;
+            remaining -= take as u64;
         }
-        if !chunk.is_empty() {
-            sink(&chunk)?;
-        }
-        Ok(())
+        chunker.finish()
     }
 
     /// Streams shard `shard`'s sub-stream from its value position `from`
@@ -195,39 +190,59 @@ impl StoreService {
                 counts[shard]
             )));
         }
-        let chunk_values = chunk_values.max(1);
         let mut reader = StoreReader::open_with(&self.root, self.options.clone())?;
         let cursor = reader.shard(shard);
         if from > 0 {
-            let buffer = cursor.meta().buffer.max(1);
-            cursor.seek(from / buffer)?;
-            // Discard the in-frame remainder to land exactly on `from`.
-            for consumed in 0..(from % buffer) {
-                cursor.decode()?.ok_or_else(|| {
-                    AtcError::Format(format!(
-                        "shard {shard} ended while seeking to its address {}",
-                        from - (from % buffer) + consumed
-                    ))
-                })?;
-            }
+            cursor.seek_to_value(from)?;
         }
-        let mut chunk = Vec::with_capacity(chunk_values);
-        // Bulk-copy whole decoded frames into the chunk; a frame is the
-        // natural unit the shard reader already hands out.
+        // A frame is the natural unit the shard reader already hands out.
+        let mut chunker = Chunker::new(chunk_values, counts[shard] - from, &mut sink);
         while let Some(frame) = cursor.next_frame()? {
-            let mut rest: &[u64] = frame;
-            while !rest.is_empty() {
-                let take = (chunk_values - chunk.len()).min(rest.len());
-                chunk.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if chunk.len() == chunk_values {
-                    sink(&chunk)?;
-                    chunk.clear();
-                }
+            chunker.push(frame)?;
+        }
+        chunker.finish()
+    }
+}
+
+/// Regroups borrowed blocks of values into chunks of exactly
+/// `chunk_values` (the last one may be short) for a sink.
+struct Chunker<'s, F> {
+    chunk: Vec<u64>,
+    chunk_values: usize,
+    sink: &'s mut F,
+}
+
+impl<'s, F: FnMut(&[u64]) -> Result<()>> Chunker<'s, F> {
+    /// `expected` (how many values the caller means to push) only sizes
+    /// the buffer, so a short read does not reserve a whole chunk.
+    fn new(chunk_values: usize, expected: u64, sink: &'s mut F) -> Self {
+        let chunk_values = chunk_values.max(1);
+        let capacity = chunk_values.min(usize::try_from(expected).unwrap_or(usize::MAX));
+        Self {
+            chunk: Vec::with_capacity(capacity),
+            chunk_values,
+            sink,
+        }
+    }
+
+    /// Bulk-copies `values` into the chunk, sinking each time it fills.
+    fn push(&mut self, mut values: &[u64]) -> Result<()> {
+        while !values.is_empty() {
+            let take = (self.chunk_values - self.chunk.len()).min(values.len());
+            self.chunk.extend_from_slice(&values[..take]);
+            values = &values[take..];
+            if self.chunk.len() == self.chunk_values {
+                (self.sink)(&self.chunk)?;
+                self.chunk.clear();
             }
         }
-        if !chunk.is_empty() {
-            sink(&chunk)?;
+        Ok(())
+    }
+
+    /// Sinks the final partial chunk.
+    fn finish(self) -> Result<()> {
+        if !self.chunk.is_empty() {
+            (self.sink)(&self.chunk)?;
         }
         Ok(())
     }

@@ -41,7 +41,7 @@ fn options(shards: usize, policy: ShardPolicy, buffer: usize) -> StoreOptions {
 }
 
 /// Writes `addrs` (keyed for thread-id routing) and asserts the merged
-/// read-back replays them exactly, batched and stepwise.
+/// read-back replays them exactly, by block and by value.
 fn roundtrip_exact(tag: &str, policy: ShardPolicy, shards: usize, buffer: usize, addrs: &[u64]) {
     let root = tmp(tag);
     let mut s = AtcStore::create(&root, Mode::Lossless, options(shards, policy, buffer)).unwrap();
@@ -58,9 +58,12 @@ fn roundtrip_exact(tag: &str, policy: ShardPolicy, shards: usize, buffer: usize,
     assert_eq!(r.decode_all().unwrap(), addrs, "{tag}");
     assert_eq!(r.decode().unwrap(), None, "{tag}: end is sticky");
 
-    let mut stepwise = StoreReader::open(&root).unwrap();
-    stepwise.merge_batching(false);
-    assert_eq!(stepwise.decode_all().unwrap(), addrs, "{tag}: stepwise");
+    let mut by_value = StoreReader::open(&root).unwrap();
+    let mut got = Vec::new();
+    while let Some(v) = by_value.decode().unwrap() {
+        got.push(v);
+    }
+    assert_eq!(got, addrs, "{tag}: per-value cursor");
     std::fs::remove_dir_all(&root).unwrap();
 }
 
