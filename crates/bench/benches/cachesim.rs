@@ -6,17 +6,14 @@
 //! single-thread speed caps end-to-end compression throughput.
 //!
 //! Axes: `cache_filter/filter_200k_accesses` (the gated headline number:
-//! one filter pass over a pre-generated access stream),
+//! one filter pass over a pre-generated access stream) and
 //! `cache_filter/batch/N` (batch-size sensitivity of the batched entry
-//! point), and `cache_filter/par/W` (set-partitioned parallel filtering
-//! at W partitions on a W-worker engine). `stack_sim/par_assoc_1_to_32/W`
-//! mirrors the parallel axis for miss-curve sweeps.
+//! point).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use atc_cache::{Cache, CacheConfig, CacheFilter, ParallelCacheFilter, ParallelStackSim, StackSim};
-use atc_engine::Engine;
+use atc_cache::{Cache, CacheConfig, CacheFilter, StackSim};
 use atc_trace::{spec, Access};
 
 fn bench_filter(c: &mut Criterion) {
@@ -52,21 +49,6 @@ fn bench_filter(c: &mut Criterion) {
             });
         });
     }
-    // Set-partitioned parallel filtering: W partitions on a W-worker
-    // engine (single-core containers show parallel ≈ serial here; the
-    // CI artifact carries the multi-core numbers).
-    for workers in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("par", workers), &workers, |b, &workers| {
-            let engine = Engine::new(workers);
-            let mut out = Vec::with_capacity(n);
-            b.iter(|| {
-                let mut f = ParallelCacheFilter::paper(engine.clone(), workers);
-                out.clear();
-                f.filter_batch(&accesses, &mut out);
-                black_box(out.len())
-            });
-        });
-    }
     g.finish();
 }
 
@@ -88,22 +70,6 @@ fn bench_stack_sim(c: &mut Criterion) {
                 black_box(sim.miss_ratio(32))
             });
         });
-    }
-    // The parallel sweep at the Figure 3 geometry that dominates the
-    // wall time (1024 sets x 32 ways).
-    for workers in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("par_assoc_1_to_32", workers),
-            &trace,
-            |b, t| {
-                let engine = Engine::new(workers);
-                b.iter(|| {
-                    let mut sim = ParallelStackSim::new(1024, 32, engine.clone(), workers);
-                    sim.run_batch(t);
-                    black_box(sim.miss_ratio(32))
-                });
-            },
-        );
     }
     g.bench_with_input(
         BenchmarkId::new("explicit_lru_4way", 128),

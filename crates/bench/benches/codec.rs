@@ -96,34 +96,10 @@ fn bench_readahead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Thread-count axis for the bzip backend over a multi-block input: the
-/// 900 kB blocks are independent, so compression/decompression should
-/// scale with threads while emitting byte-identical streams.
-fn bench_bzip_threads(c: &mut Criterion) {
-    let mut g = c.benchmark_group("bzip_threads");
-    g.sample_size(10);
-    let n = 8 << 20; // ~9 default-size blocks
-    let data = structured(n);
-    g.throughput(Throughput::Bytes(n as u64));
-
-    let serial = Bzip::default();
-    let packed = serial.compress(&data);
-    for threads in [1usize, 2, 4, 8] {
-        let codec = Bzip::with_threads(threads);
-        g.bench_with_input(BenchmarkId::new("compress", threads), &data, |b, d| {
-            b.iter(|| black_box(codec.compress(black_box(d))));
-        });
-        g.bench_with_input(BenchmarkId::new("decompress", threads), &packed, |b, p| {
-            b.iter(|| black_box(codec.decompress(black_box(p)).unwrap()));
-        });
-    }
-    g.finish();
-}
-
 /// Thread-count axis for the streaming writer: segments compress on the
 /// worker pool while the producer keeps feeding.
 fn bench_parallel_writer(c: &mut Criterion) {
-    use atc_codec::ParallelCodecWriter;
+    use atc_codec::{CodecWriter, DEFAULT_SEGMENT_SIZE};
     use std::io::Write;
     use std::sync::Arc;
 
@@ -136,9 +112,10 @@ fn bench_parallel_writer(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("bzip", threads), &data, |b, d| {
             let codec: Arc<dyn Codec> = Arc::new(Bzip::default());
             b.iter(|| {
-                let mut w = ParallelCodecWriter::new(
+                let mut w = CodecWriter::with_threads(
                     Vec::with_capacity(1 << 20),
                     Arc::clone(&codec),
+                    DEFAULT_SEGMENT_SIZE,
                     threads,
                 );
                 w.write_all(black_box(d)).unwrap();
@@ -182,7 +159,6 @@ fn bench_bwt(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_codecs,
-    bench_bzip_threads,
     bench_parallel_writer,
     bench_readahead,
     bench_crc,

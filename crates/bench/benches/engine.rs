@@ -1,5 +1,5 @@
 //! Work-stealing engine micro-benchmarks: fire-and-forget task
-//! throughput, scoped fork/join, and a skewed-home steal scenario.
+//! throughput and a skewed-home steal scenario.
 //!
 //! Like the thread-axis benches, a single-core host can only show
 //! multi-worker ≈ serial plus scheduling overhead; the point of the
@@ -45,22 +45,6 @@ fn bench_engine(c: &mut Criterion) {
                 }
                 drop(tx);
                 black_box(rx.iter().fold(0u64, u64::wrapping_add))
-            });
-        });
-
-        // Structured fork/join with stack-borrowing tasks (the Bzip
-        // multi-block shape).
-        g.bench_with_input(BenchmarkId::new("scope", workers), &engine, |b, engine| {
-            b.iter(|| {
-                let mut outs = vec![0u64; 256];
-                engine.scope(|s| {
-                    for (i, out) in outs.iter_mut().enumerate() {
-                        s.spawn(move || {
-                            *out = (0..16).fold(i as u64, |acc, _| spin(acc));
-                        });
-                    }
-                });
-                black_box(outs.iter().fold(0u64, |a, &b| a.wrapping_add(b)))
             });
         });
     }

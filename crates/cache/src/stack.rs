@@ -122,145 +122,6 @@ impl StackSim {
     pub fn miss_curve(&self) -> Vec<f64> {
         (1..=self.max_assoc).map(|a| self.miss_ratio(a)).collect()
     }
-
-    /// Raw hit counts per LRU stack depth (`[d]` = hits at 0-based
-    /// depth `d`); the histogram [`StackSim::miss_ratio`] integrates.
-    pub fn depth_histogram(&self) -> &[u64] {
-        &self.hits
-    }
-}
-
-/// Set-partitioned parallel [`StackSim`]: the same single-pass Mattson
-/// measurement, fanned out over engine workers by set index.
-///
-/// Stack distances, like LRU state, are purely per-set: partition `p`
-/// of `P` owns the contiguous set range `{s : (s * P) >> log2(sets) ==
-/// p}`, simulates only its own sets' accesses (in stream order), and
-/// accumulates a private depth histogram. The histograms are summed on
-/// read-out, so every miss ratio equals the serial simulator's exactly
-/// — a depth count is order-independent across sets, which is also why
-/// no reassembly pass is needed here (unlike the parallel cache
-/// filter, whose *trace output* is order-sensitive).
-///
-/// # Examples
-///
-/// ```
-/// use atc_cache::{ParallelStackSim, StackSim};
-/// use atc_engine::Engine;
-///
-/// let blocks: Vec<u64> = (0..50_000u64).map(|i| i * 31 % 4096).collect();
-/// let mut serial = StackSim::new(64, 8);
-/// serial.run(blocks.iter().copied());
-/// let mut par = ParallelStackSim::new(64, 8, Engine::new(4), 4);
-/// par.run_batch(&blocks);
-/// assert_eq!(par.miss_curve(), serial.miss_curve());
-/// ```
-#[derive(Debug)]
-pub struct ParallelStackSim {
-    engine: atc_engine::Engine,
-    parts: Vec<StackSim>,
-}
-
-impl ParallelStackSim {
-    /// Creates a parallel simulator over `partitions` set-partitions
-    /// run on `engine`, measuring associativities up to `max_assoc` at
-    /// `sets` sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`StackSim::new`] conditions, or if
-    /// `partitions` is 0 or exceeds `sets`.
-    pub fn new(
-        sets: usize,
-        max_assoc: usize,
-        engine: atc_engine::Engine,
-        partitions: usize,
-    ) -> Self {
-        assert!(
-            partitions > 0 && partitions <= sets,
-            "partitions {partitions} must be in 1..={sets}"
-        );
-        Self {
-            engine,
-            parts: (0..partitions)
-                .map(|_| StackSim::new(sets, max_assoc))
-                .collect(),
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.parts[0].sets()
-    }
-
-    /// Largest associativity measured.
-    pub fn max_assoc(&self) -> usize {
-        self.parts[0].max_assoc()
-    }
-
-    /// Number of set-partitions.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Processes a batch of block addresses; repeated calls continue the
-    /// same measurement (per-set stacks persist across batches).
-    pub fn run_batch(&mut self, blocks: &[u64]) {
-        let parts = self.parts.len();
-        if parts == 1 {
-            self.parts[0].run(blocks.iter().copied());
-            return;
-        }
-        let mask = self.sets() - 1;
-        let log = self.sets().trailing_zeros();
-        let engine = self.engine.clone();
-        engine.scope(|s| {
-            for (p, part) in self.parts.iter_mut().enumerate() {
-                s.spawn(move || {
-                    for &b in blocks {
-                        let set = (b as usize) & mask;
-                        if (set * parts) >> log == p {
-                            part.access(b);
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// Total accesses processed.
-    pub fn accesses(&self) -> u64 {
-        self.parts.iter().map(StackSim::accesses).sum()
-    }
-
-    /// Miss ratio for a cache of `assoc` ways per set, identical to the
-    /// serial [`StackSim::miss_ratio`] over the same stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc` is 0 or exceeds `max_assoc`.
-    pub fn miss_ratio(&self, assoc: usize) -> f64 {
-        assert!(
-            (1..=self.max_assoc()).contains(&assoc),
-            "assoc {assoc} outside 1..={}",
-            self.max_assoc()
-        );
-        let accesses = self.accesses();
-        if accesses == 0 {
-            return 0.0;
-        }
-        let hits: u64 = self
-            .parts
-            .iter()
-            .map(|p| p.depth_histogram()[..assoc].iter().sum::<u64>())
-            .sum();
-        1.0 - hits as f64 / accesses as f64
-    }
-
-    /// Miss-ratio curve for associativities `1..=max_assoc`.
-    pub fn miss_curve(&self) -> Vec<f64> {
-        (1..=self.max_assoc()).map(|a| self.miss_ratio(a)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -341,35 +202,6 @@ mod tests {
         let sim = StackSim::new(4, 4);
         assert_eq!(sim.miss_ratio(1), 0.0);
         assert_eq!(sim.accesses(), 0);
-    }
-
-    #[test]
-    fn parallel_stack_sim_matches_serial_curves() {
-        let mut x = 3u64;
-        let blocks: Vec<u64> = (0..60_000)
-            .map(|_| {
-                x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                (x >> 30) % 50_000
-            })
-            .collect();
-        for sets in [16usize, 64] {
-            let mut serial = StackSim::new(sets, 16);
-            serial.run(blocks.iter().copied());
-            for partitions in [1usize, 2, 5, 8] {
-                let engine = atc_engine::Engine::new(2);
-                let mut par = ParallelStackSim::new(sets, 16, engine, partitions);
-                // Two batches: partition stacks must persist between them.
-                let (a, b) = blocks.split_at(blocks.len() / 3);
-                par.run_batch(a);
-                par.run_batch(b);
-                assert_eq!(par.accesses(), serial.accesses());
-                assert_eq!(
-                    par.miss_curve(),
-                    serial.miss_curve(),
-                    "sets={sets} partitions={partitions}"
-                );
-            }
-        }
     }
 
     #[test]

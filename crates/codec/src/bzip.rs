@@ -19,8 +19,6 @@
 //! assert_eq!(codec.decompress(&packed).unwrap(), data);
 //! ```
 
-use atc_engine::Engine;
-
 use crate::bitio::{BitReader, BitWriter};
 use crate::bwt::{bwt_forward_in, bwt_inverse};
 use crate::crc::crc32;
@@ -40,29 +38,13 @@ pub const MIN_BLOCK_SIZE: usize = 1024;
 
 /// The bzip2-class block codec.
 ///
-/// Cheap to clone and construct; holds the configured block size, thread
-/// count, and (optionally) an injected execution engine. Blocks are
-/// compressed independently, so multi-block inputs parallelize as scoped
-/// tasks on the shared [`Engine`] (see [`Bzip::with_threads`]) while the
-/// output stays byte-identical to the single-threaded encoding.
-#[derive(Debug, Clone)]
+/// Cheap to clone and construct; holds only the configured block size.
+/// Blocks are compressed independently and in order; parallelism lives
+/// one level up, in the per-segment tasks of the stream adapters.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bzip {
     block_size: usize,
-    threads: usize,
-    /// Explicit engine; `None` uses the process-wide default when a
-    /// multi-block input actually parallelizes.
-    engine: Option<Engine>,
 }
-
-/// Two codecs are equal when they produce the same bytes: the engine a
-/// codec happens to run on never affects its output.
-impl PartialEq for Bzip {
-    fn eq(&self, other: &Self) -> bool {
-        self.block_size == other.block_size && self.threads == other.threads
-    }
-}
-
-impl Eq for Bzip {}
 
 /// Per-thread reusable buffers for the block pipeline.
 ///
@@ -80,7 +62,7 @@ struct BlockScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch for the serial compress path.
+    /// Per-thread scratch for the compress path.
     ///
     /// The streaming writers call [`Codec::compress_into`] once per
     /// segment from long-lived worker threads; keeping the block scratch
@@ -92,8 +74,8 @@ thread_local! {
 }
 
 /// One parsed-but-undecoded block: the header fields plus a borrowed
-/// payload. Produced by a cheap sequential header scan so independent
-/// blocks can decode on separate threads.
+/// payload. Produced by a cheap sequential header scan that validates
+/// every header before any block is decoded.
 struct RawBlock<'a> {
     raw_len: usize,
     crc: u32,
@@ -106,8 +88,6 @@ impl Bzip {
     pub fn new() -> Self {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,
-            threads: 1,
-            engine: None,
         }
     }
 
@@ -126,53 +106,12 @@ impl Bzip {
             (MIN_BLOCK_SIZE..=u32::MAX as usize / 2).contains(&block_size),
             "block size {block_size} out of range"
         );
-        Self {
-            block_size,
-            threads: 1,
-            engine: None,
-        }
-    }
-
-    /// Creates a codec compressing/decompressing up to `threads` blocks
-    /// concurrently (default block size) as scoped tasks on the
-    /// process-wide [`Engine`].
-    ///
-    /// `0` and `1` both mean single-threaded. Because blocks share no
-    /// state, the compressed output is byte-identical at every thread
-    /// count, and streams from any thread count decompress with any other.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::new().threads(threads)
-    }
-
-    /// Sets the thread count (builder style); see [`Bzip::with_threads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Submits multi-block work to an explicit `engine` instead of the
-    /// process-wide default (builder style; the injection point for
-    /// tests). Output bytes never depend on the engine.
-    pub fn on_engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// The engine multi-block work runs on.
-    fn engine(&self) -> Engine {
-        self.engine
-            .clone()
-            .unwrap_or_else(|| Engine::global_with(self.threads))
+        Self { block_size }
     }
 
     /// The configured block size in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// The configured thread count (1 = serial).
-    pub fn thread_count(&self) -> usize {
-        self.threads
     }
 
     fn compress_block(&self, data: &[u8], out: &mut Vec<u8>, scratch: &mut BlockScratch) {
@@ -313,43 +252,13 @@ impl Codec for Bzip {
         if data.is_empty() {
             return 0;
         }
-        let n_blocks = data.len().div_ceil(self.block_size);
-        let workers = self.threads.min(n_blocks);
-        if workers <= 1 {
-            out.reserve(data.len() / 3 + 64);
-            SERIAL_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                for block in data.chunks(self.block_size) {
-                    self.compress_block(block, out, &mut scratch);
-                }
-            });
-            return out.len();
-        }
-
-        // Partition the independent blocks into contiguous runs, one per
-        // worker; concatenating the runs in order reproduces the serial
-        // byte stream exactly (the framing is self-delimiting). The run
-        // partition depends only on `threads`, never on the engine's
-        // worker count, so the bytes are identical on any engine.
-        let blocks: Vec<&[u8]> = data.chunks(self.block_size).collect();
-        let per_worker = blocks.len().div_ceil(workers);
-        let runs: Vec<&[&[u8]]> = blocks.chunks(per_worker).collect();
-        let mut run_outs: Vec<Vec<u8>> = runs.iter().map(|_| Vec::new()).collect();
-        self.engine().scope(|s| {
-            for (&run, run_out) in runs.iter().zip(run_outs.iter_mut()) {
-                s.spawn(move || {
-                    let mut scratch = BlockScratch::default();
-                    run_out.reserve(run.iter().map(|b| b.len()).sum::<usize>() / 3 + 64);
-                    for block in run {
-                        self.compress_block(block, run_out, &mut scratch);
-                    }
-                });
+        out.reserve(data.len() / 3 + 64);
+        SERIAL_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            for block in data.chunks(self.block_size) {
+                self.compress_block(block, out, &mut scratch);
             }
         });
-        out.reserve(data.len() / 3 + 64);
-        for run_out in &run_outs {
-            out.extend_from_slice(run_out);
-        }
         out.len()
     }
 
@@ -364,63 +273,20 @@ impl Codec for Bzip {
         }
         // Headers are untrusted until each block's pipeline validates its
         // own length, so preallocation from them is capped: oversized (or
-        // overflowing) claims fall back to the incremental serial path,
-        // which grows only as blocks actually decode. 64 MiB covers every
-        // segment/chunk this system feeds through one decompress call
-        // while keeping the header-driven allocation amplification small.
+        // overflowing) claims grow `out` only as blocks actually decode.
+        // 64 MiB covers every segment/chunk this system feeds through one
+        // decompress call while keeping the header-driven allocation
+        // amplification small.
         const MAX_PREALLOC: usize = 64 << 20;
         let total = blocks
             .iter()
             .try_fold(0usize, |acc, b| acc.checked_add(b.raw_len));
-        let workers = self.threads.min(blocks.len());
-        let total = match total {
-            Some(t) if t <= MAX_PREALLOC => t,
-            _ => {
-                for block in &blocks {
-                    out.extend_from_slice(&Self::decode_block(block)?);
-                }
-                return Ok(out.len());
-            }
-        };
-        if workers <= 1 {
+        if let Some(total) = total.filter(|&t| t <= MAX_PREALLOC) {
             out.reserve(total);
-            for block in &blocks {
-                out.extend_from_slice(&Self::decode_block(block)?);
-            }
-            return Ok(out.len());
         }
-
-        // Every block's decoded length is in its header, so the output
-        // can be sized once and split into disjoint per-run slices:
-        // tasks write in place, no second buffer and no serial copy.
-        out.resize(total, 0);
-        let per_worker = blocks.len().div_ceil(workers);
-        let runs: Vec<&[RawBlock<'_>]> = blocks.chunks(per_worker).collect();
-        let mut results: Vec<Result<(), CodecError>> = runs.iter().map(|_| Ok(())).collect();
-        self.engine().scope(|s| {
-            let mut rest: &mut [u8] = out;
-            for (&run, result) in runs.iter().zip(results.iter_mut()) {
-                let run_len: usize = run.iter().map(|b| b.raw_len).sum();
-                let (dest, tail) = rest.split_at_mut(run_len);
-                rest = tail;
-                s.spawn(move || {
-                    let mut dest = dest;
-                    for block in run {
-                        let (block_dest, tail) = dest.split_at_mut(block.raw_len);
-                        dest = tail;
-                        match Self::decode_block(block) {
-                            Ok(bytes) => block_dest.copy_from_slice(&bytes),
-                            Err(e) => {
-                                *result = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // Surface failures in run order, matching the serial scan.
-        results.into_iter().collect::<Result<(), CodecError>>()?;
+        for block in &blocks {
+            out.extend_from_slice(&Self::decode_block(block)?);
+        }
         Ok(out.len())
     }
 }

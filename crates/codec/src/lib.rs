@@ -49,11 +49,9 @@ pub use atc_engine::{Engine, EngineStats};
 pub use bzip::{Bzip, DEFAULT_BLOCK_SIZE};
 pub use error::CodecError;
 pub use lz::Lz;
-pub use parallel::{
-    ByteBudget, ParallelCodecWriter, ReadaheadReader, ScratchStats, IN_FLIGHT_PER_WORKER,
-};
+pub use parallel::{ByteBudget, CodecWriter, ReadaheadReader, ScratchStats, IN_FLIGHT_PER_WORKER};
 pub use store::Store;
-pub use stream::{CodecReader, CodecWriter, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
+pub use stream::{CodecReader, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
 
 /// A one-shot, thread-safe byte compressor.
 ///
@@ -65,9 +63,8 @@ pub use stream::{CodecReader, CodecWriter, SegmentRecord, StreamScratch, DEFAULT
 ///
 /// The streaming entry points [`Codec::compress_into`] /
 /// [`Codec::decompress_into`] write into a caller-provided scratch buffer
-/// so per-segment pipelines ([`CodecWriter`], [`ParallelCodecWriter`],
-/// [`ReadaheadReader`]) can recycle allocations instead of materializing a
-/// fresh `Vec` per segment. They have default adapters over the one-shot
+/// so per-segment pipelines ([`CodecWriter`], [`ReadaheadReader`]) can
+/// recycle allocations instead of materializing a fresh `Vec` per segment. They have default adapters over the one-shot
 /// methods, so external implementations keep working unchanged; the
 /// built-in codecs implement them natively (and implement the one-shot
 /// methods *in terms of* the streaming ones). Each pair defaults to the

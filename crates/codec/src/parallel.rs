@@ -1,16 +1,18 @@
-//! Parallel streaming adapters: an engine-backed [`ParallelCodecWriter`]
-//! and a free-running [`ReadaheadReader`], both producing/consuming
-//! exactly the [`CodecWriter`](crate::CodecWriter) stream format.
+//! The codec-stream writer and the readahead reader: [`CodecWriter`]
+//! frames segments inline or as engine tasks, [`ReadaheadReader`] decodes
+//! them ahead of the consumer — one stream format either way.
 //!
-//! The serial [`CodecWriter`](crate::CodecWriter) compresses every segment
-//! on the producer thread, so compression throughput caps trace-generation
-//! throughput. [`ParallelCodecWriter`] instead submits full segments as
-//! tasks to a shared work-stealing [`Engine`] and writes the
-//! `varint(len) ++ block` frames back **in submission order**, so the
-//! on-disk format is byte-identical to the serial writer at every worker
-//! count — existing readers work unchanged. This is the shape proven by
-//! rr's `CompressedWriter`: independent blocks, ordered reassembly,
-//! bounded in-flight buffering for backpressure.
+//! A [`CodecWriter`] buffers raw bytes up to a segment size, compresses
+//! each segment, and frames it as `varint(compressed_len) ++ compressed
+//! bytes`; a zero-length varint terminates the stream, allowing multiple
+//! logical streams to share one file. Built without an engine
+//! ([`CodecWriter::new`]) it compresses every segment on the producer
+//! thread. Built with `threads > 1` it instead submits full segments as
+//! tasks to a shared work-stealing [`Engine`] and writes the frames back
+//! **in submission order**, so the on-disk bytes are identical at every
+//! worker count — readers cannot tell the two modes apart. This is the
+//! shape proven by rr's `CompressedWriter`: independent blocks, ordered
+//! reassembly, bounded in-flight buffering for backpressure.
 //!
 //! Both adapters are streaming-first: segments are compressed with
 //! [`Codec::compress_into`] / decompressed with [`Codec::decompress_into`]
@@ -38,14 +40,14 @@
 //! # fn main() -> Result<(), Box<dyn Error>> {
 //! use std::io::{Read, Write};
 //! use std::sync::Arc;
-//! use atc_codec::{Bzip, Codec, CodecReader, ParallelCodecWriter};
+//! use atc_codec::{Bzip, Codec, CodecReader, CodecWriter, DEFAULT_SEGMENT_SIZE};
 //!
 //! let codec: Arc<dyn Codec> = Arc::new(Bzip::default());
-//! let mut w = ParallelCodecWriter::new(Vec::new(), Arc::clone(&codec), 4);
+//! let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), DEFAULT_SEGMENT_SIZE, 4);
 //! w.write_all(b"stream me from four workers")?;
 //! let file = w.finish()?;
 //!
-//! // The serial reader decodes the parallel writer's output.
+//! // The inline reader decodes the engine-backed writer's output.
 //! let mut r = CodecReader::new(&file[..], codec);
 //! let mut back = String::new();
 //! r.read_to_string(&mut back)?;
@@ -65,7 +67,7 @@ use std::thread::JoinHandle;
 use atc_engine::Engine;
 
 use crate::error::CodecError;
-use crate::stream::{SegmentRecord, DEFAULT_SEGMENT_SIZE};
+use crate::stream::{read_segment, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
 use crate::varint;
 use crate::Codec;
 
@@ -75,12 +77,12 @@ use crate::Codec;
 /// keeping every worker busy (one segment compressing, one queued).
 pub const IN_FLIGHT_PER_WORKER: usize = 2;
 
-/// A shared cap on buffered bytes across many parallel writers.
+/// A shared cap on buffered bytes across many engine-backed writers.
 ///
 /// One writer's in-flight window already bounds *its* memory
 /// (`threads × `[`IN_FLIGHT_PER_WORKER`]` segments`), but a container
 /// running many writers — the sharded store feeds one
-/// [`ParallelCodecWriter`] per shard — compounds those windows to
+/// [`CodecWriter`] per shard — compounds those windows to
 /// `writers × threads × 2` segments. A `ByteBudget` is the global gate:
 /// every writer [`acquire`](ByteBudget::acquire)s a payload's bytes
 /// before handing it to the engine and releases them when the engine
@@ -164,8 +166,8 @@ impl ByteBudget {
 
 use atc_engine::panic_message;
 
-/// Scratch-buffer accounting for a [`ParallelCodecWriter`] (see
-/// [`ParallelCodecWriter::scratch_stats`]).
+/// Scratch-buffer accounting for a [`CodecWriter`] (see
+/// [`CodecWriter::scratch_stats`]).
 ///
 /// Steady state, `fresh` stays bounded by the in-flight window
 /// (`threads * 2 + 1` per buffer kind) no matter how many segments the
@@ -178,28 +180,30 @@ pub struct ScratchStats {
     pub recycled: u64,
 }
 
-/// A `Write` adapter that compresses segments on the shared engine.
+/// A `Write` adapter that compresses through a [`Codec`], inline or on
+/// the shared engine.
 ///
-/// Produces the exact byte stream of the serial
-/// [`CodecWriter`](crate::CodecWriter): segments framed as
-/// `varint(compressed_len) ++ compressed bytes`, terminated by a
-/// zero-length varint, emitted in submission order. `threads <= 1` runs
-/// inline on the caller thread with no tasks at all (today's serial
-/// path); `threads > 1` bounds the writer's in-flight window and, when no
-/// engine is injected, grows the process-wide engine to that worker
-/// count.
+/// Segments are framed as `varint(compressed_len) ++ compressed bytes`,
+/// terminated by a zero-length varint, emitted in submission order.
+/// Without an engine ([`CodecWriter::new`], or any constructor given
+/// `threads <= 1`) every segment is compressed on the caller thread with
+/// no tasks at all; `threads > 1` bounds the writer's in-flight window
+/// and, when no engine is injected, grows the process-wide engine to
+/// that worker count. The bytes are the same in every mode.
 ///
 /// Raw-segment and compressed-segment buffers are owned `Vec<u8>`s that
 /// cycle producer → engine task → reassembly → producer, so the
 /// steady-state write path allocates nothing per segment (see
-/// [`ParallelCodecWriter::scratch_stats`]).
+/// [`CodecWriter::scratch_stats`]); workloads that open many short
+/// streams back to back can carry them from one stream to the next as a
+/// [`StreamScratch`].
 ///
-/// Call [`ParallelCodecWriter::finish`] to drain the in-flight segments,
-/// write the end-of-stream marker, and recover the inner writer; dropping
+/// Call [`CodecWriter::finish`] to drain the in-flight segments, write
+/// the end-of-stream marker, and recover the inner writer; dropping
 /// without `finish` leaves the stream unterminated (readers will report
-/// truncation), exactly like the serial writer.
+/// truncation).
 #[derive(Debug)]
-pub struct ParallelCodecWriter<W: Write> {
+pub struct CodecWriter<W: Write> {
     inner: W,
     codec: Arc<dyn Codec>,
     buf: Vec<u8>,
@@ -264,35 +268,66 @@ impl Pool {
     }
 }
 
-impl<W: Write> ParallelCodecWriter<W> {
-    /// Creates a writer with the default segment size and `threads`
-    /// in-flight segments (`0`/`1` = inline serial) on the process-wide
-    /// engine.
-    pub fn new(inner: W, codec: Arc<dyn Codec>, threads: usize) -> Self {
-        Self::with_segment_size(inner, codec, DEFAULT_SEGMENT_SIZE, threads)
+impl<W: Write> CodecWriter<W> {
+    /// Creates an inline writer with the default segment size.
+    pub fn new(inner: W, codec: Arc<dyn Codec>) -> Self {
+        Self::with_segment_size(inner, codec, DEFAULT_SEGMENT_SIZE)
     }
 
-    /// Creates a writer compressing every `segment_size` raw bytes with
-    /// up to `threads` segments in flight on the process-wide engine
-    /// (grown to at least `threads` workers).
+    /// Creates an inline writer that compresses every `segment_size` raw
+    /// bytes.
     ///
     /// # Panics
     ///
     /// Panics if `segment_size` is zero.
-    pub fn with_segment_size(
+    pub fn with_segment_size(inner: W, codec: Arc<dyn Codec>, segment_size: usize) -> Self {
+        Self::with_scratch(inner, codec, segment_size, StreamScratch::default())
+    }
+
+    /// Creates an inline writer that reuses `scratch` from an earlier
+    /// stream (see [`StreamScratch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment_size` is zero.
+    pub fn with_scratch(
+        inner: W,
+        codec: Arc<dyn Codec>,
+        segment_size: usize,
+        scratch: StreamScratch,
+    ) -> Self {
+        Self::build(inner, codec, segment_size, None, None, scratch)
+    }
+
+    /// Creates a writer compressing every `segment_size` raw bytes with
+    /// up to `threads` segments in flight on the process-wide engine
+    /// (grown to at least `threads` workers; `0`/`1` = inline).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment_size` is zero.
+    pub fn with_threads(
         inner: W,
         codec: Arc<dyn Codec>,
         segment_size: usize,
         threads: usize,
     ) -> Self {
-        let engine = (threads > 1).then(|| Engine::global_with(threads));
-        Self::build(inner, codec, segment_size, threads, engine)
+        let pool = (threads > 1).then(|| Pool::attach(Engine::global_with(threads), threads));
+        Self::build(
+            inner,
+            codec,
+            segment_size,
+            pool,
+            None,
+            StreamScratch::default(),
+        )
     }
 
     /// Creates a writer submitting its segments to an explicit `engine`
     /// (the injection point for tests and multi-stream containers; the
     /// engine's worker count is whatever it was created with — `threads`
-    /// only bounds this writer's in-flight window).
+    /// only bounds this writer's in-flight window, and `0`/`1` still
+    /// means inline).
     ///
     /// # Panics
     ///
@@ -307,11 +342,11 @@ impl<W: Write> ParallelCodecWriter<W> {
         Self::with_engine_budget(inner, codec, segment_size, threads, engine, None)
     }
 
-    /// Like [`ParallelCodecWriter::with_engine`], but drawing every
-    /// in-flight raw segment from a shared [`ByteBudget`] — the gate a
-    /// multi-writer container (the sharded store) uses to bound the
-    /// *sum* of all writers' buffered bytes instead of letting the
-    /// per-writer windows compound.
+    /// Like [`CodecWriter::with_engine`], but drawing every in-flight raw
+    /// segment from a shared [`ByteBudget`] — the gate a multi-writer
+    /// container (the sharded store) uses to bound the *sum* of all
+    /// writers' buffered bytes instead of letting the per-writer windows
+    /// compound.
     ///
     /// # Panics
     ///
@@ -324,29 +359,35 @@ impl<W: Write> ParallelCodecWriter<W> {
         engine: Engine,
         budget: Option<Arc<ByteBudget>>,
     ) -> Self {
-        let engine = (threads > 1).then_some(engine);
-        let mut w = Self::build(inner, codec, segment_size, threads, engine);
-        w.budget = budget;
-        w
+        let pool = (threads > 1).then(|| Pool::attach(engine, threads));
+        Self::build(
+            inner,
+            codec,
+            segment_size,
+            pool,
+            budget,
+            StreamScratch::default(),
+        )
     }
 
     fn build(
         inner: W,
         codec: Arc<dyn Codec>,
         segment_size: usize,
-        threads: usize,
-        engine: Option<Engine>,
+        pool: Option<Pool>,
+        budget: Option<Arc<ByteBudget>>,
+        scratch: StreamScratch,
     ) -> Self {
         assert!(segment_size > 0, "segment size must be positive");
-        // `threads <= 1` never attaches a pool (inline serial path), so a
-        // pool's window is always ≥ 2 segments — clamp anyway so no
-        // future call path can construct a zero-width in-flight window
-        // that would wedge the backpressure loop.
-        let pool = engine.map(|e| Pool::attach(e, threads.max(1)));
+        let StreamScratch { mut buf, packed } = scratch;
+        buf.clear();
+        if buf.capacity() == 0 {
+            buf.reserve(segment_size.min(1 << 22));
+        }
         Self {
             inner,
             codec,
-            buf: Vec::with_capacity(segment_size.min(1 << 22)),
+            buf,
             segment_size,
             raw_bytes: 0,
             compressed_bytes: 0,
@@ -356,9 +397,9 @@ impl<W: Write> ParallelCodecWriter<W> {
             done: BTreeMap::new(),
             in_flight: 0,
             raw_pool: Vec::new(),
-            packed_pool: Vec::new(),
+            packed_pool: packed,
             stats: ScratchStats::default(),
-            budget: None,
+            budget,
             poisoned: None,
             segments: Vec::new(),
             raw_lens: BTreeMap::new(),
@@ -386,7 +427,7 @@ impl<W: Write> ParallelCodecWriter<W> {
     }
 
     /// Configured parallelism: the in-flight window in segments (0 =
-    /// inline serial, no engine tasks).
+    /// inline, no engine tasks).
     pub fn threads(&self) -> usize {
         self.pool.as_ref().map_or(0, |p| p.threads)
     }
@@ -414,9 +455,9 @@ impl<W: Write> ParallelCodecWriter<W> {
     }
 
     fn write_frame(&mut self, packed: &[u8]) -> io::Result<()> {
-        // Header and payload as two writes (like the serial CodecWriter):
-        // no copy of the compressed bytes on the one thread serializing
-        // all output. Partial landings are handled by the poison latch.
+        // Header and payload as two writes: no copy of the compressed
+        // bytes on the one thread serializing all output. Partial
+        // landings are handled by the poison latch.
         let mut header = [0u8; 10];
         let mut cursor = &mut header[..];
         varint::write_u64(&mut cursor, packed.len() as u64)?;
@@ -520,8 +561,8 @@ impl<W: Write> ParallelCodecWriter<W> {
             return Ok(());
         }
         if self.pool.is_none() {
-            // Inline serial path: identical bytes to CodecWriter, with the
-            // packed scratch cycling through a one-deep pool.
+            // Inline path: compress on this thread, with the packed
+            // scratch cycling through a one-deep pool.
             let raw_len = self.buf.len() as u64;
             let file_offset = self.compressed_bytes;
             let mut out = Self::take_buffer(&mut self.packed_pool, &mut self.stats, 0);
@@ -569,7 +610,7 @@ impl<W: Write> ParallelCodecWriter<W> {
         self.next_seq += 1;
         self.raw_lens.insert(seq, raw_len);
         // atclint: allow(library-unwrap) -- infallible: this function's
-        // serial fallback returned already when self.pool is None.
+        // inline branch returned already when self.pool is None.
         let pool = self.pool.as_ref().expect("pool checked above");
         let tx = pool.tx.clone();
         let codec = Arc::clone(&self.codec);
@@ -622,19 +663,33 @@ impl<W: Write> ParallelCodecWriter<W> {
     ///
     /// Propagates I/O errors from the inner writer and task failures.
     pub fn finish(self) -> io::Result<W> {
-        self.finish_with_segments().map(|(inner, _)| inner)
+        self.finish_parts().map(|(inner, _, _)| inner)
     }
 
-    /// Like [`ParallelCodecWriter::finish`], but also hands back one
-    /// [`SegmentRecord`] per sealed segment, in stream order — identical
-    /// to the records the serial [`CodecWriter`](crate::CodecWriter)
-    /// would produce for the same input, since the frames are written in
-    /// submission order.
+    /// Like [`CodecWriter::finish`], but also hands back the stream's
+    /// scratch buffers for reuse by a later [`CodecWriter::with_scratch`].
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the inner writer and task failures.
-    pub fn finish_with_segments(mut self) -> io::Result<(W, Vec<SegmentRecord>)> {
+    pub fn finish_with_scratch(self) -> io::Result<(W, StreamScratch)> {
+        self.finish_parts()
+            .map(|(inner, scratch, _)| (inner, scratch))
+    }
+
+    /// Like [`CodecWriter::finish`], but also hands back one
+    /// [`SegmentRecord`] per sealed segment, in stream order — the raw
+    /// material for a seek sidecar. The records do not depend on the
+    /// thread count, since the frames are written in submission order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the inner writer and task failures.
+    pub fn finish_with_segments(self) -> io::Result<(W, Vec<SegmentRecord>)> {
+        self.finish_parts().map(|(inner, _, segs)| (inner, segs))
+    }
+
+    fn finish_parts(mut self) -> io::Result<(W, StreamScratch, Vec<SegmentRecord>)> {
         self.check_poisoned()?;
         self.flush_segment()?;
         while self.in_flight > 0 {
@@ -655,11 +710,15 @@ impl<W: Write> ParallelCodecWriter<W> {
         self.inner.write_all(&eos[..eos_len])?;
         self.compressed_bytes += eos_len as u64;
         self.inner.flush()?;
-        Ok((self.inner, self.segments))
+        let scratch = StreamScratch {
+            buf: self.buf,
+            packed: self.packed_pool,
+        };
+        Ok((self.inner, scratch, self.segments))
     }
 }
 
-impl<W: Write> Write for ParallelCodecWriter<W> {
+impl<W: Write> Write for CodecWriter<W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.check_poisoned()?;
         let mut rest = data;
@@ -677,8 +736,9 @@ impl<W: Write> Write for ParallelCodecWriter<W> {
     }
 
     /// Flushes the inner writer only. Buffered raw bytes are *not* forced
-    /// into a short segment, and in-flight segments keep compressing; both
-    /// are emitted by [`ParallelCodecWriter::finish`].
+    /// into a short segment (that would hurt the compression ratio), and
+    /// in-flight segments keep compressing; both are emitted by
+    /// [`CodecWriter::finish`].
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
@@ -802,10 +862,9 @@ impl Gate {
 /// A `Read` adapter that decompresses a codec stream through the shared
 /// engine, free-running ahead of the consumer.
 ///
-/// Consumes the exact stream format of
-/// [`CodecWriter`](crate::CodecWriter) / [`ParallelCodecWriter`]. A feeder
-/// thread frames packed segments off the input and submits each to the
-/// engine the moment it is read; an in-flight gate bounds readahead
+/// Consumes the exact stream format of [`CodecWriter`]. A feeder thread
+/// frames packed segments off the input and submits each to the engine
+/// the moment it is read; an in-flight gate bounds readahead
 /// depth, and there is no batch-of-`threads` barrier, so one slow segment
 /// never idles the other workers. Results flow to the consumer through a
 /// channel and an ordered reassembly map keyed by sequence number, so
@@ -828,7 +887,7 @@ pub struct ReadaheadReader {
     current: Vec<u8>,
     pos: usize,
     /// First error seen, replayed on every subsequent read (matching the
-    /// serial `CodecReader`, which keeps erroring rather than turning a
+    /// inline `CodecReader`, which keeps erroring rather than turning a
     /// poisoned stream into a clean EOF). A mid-stream CRC failure
     /// therefore fails *all* reads after the error point, forever.
     error: Option<(io::ErrorKind, String)>,
@@ -845,12 +904,10 @@ impl ReadaheadReader {
     /// Spawns the readahead pipeline over a terminated codec stream on
     /// the process-wide engine (grown to at least `threads` workers).
     ///
-    /// `threads` is the decompression parallelism (`0`/`1` = one segment
-    /// at a time on the feeder thread, still overlapped with the
-    /// consumer).
+    /// `threads` is the decompression parallelism: it bounds the window
+    /// of segments decoded ahead of the consumer (`0` is treated as `1`).
     pub fn new<R: Read + Send + 'static>(inner: R, codec: Arc<dyn Codec>, threads: usize) -> Self {
-        let engine = (threads > 1).then(|| Engine::global_with(threads));
-        Self::build(inner, codec, threads, engine)
+        Self::with_engine(inner, codec, threads, Engine::global_with(threads))
     }
 
     /// Like [`ReadaheadReader::new`], but submits decode tasks to an
@@ -861,16 +918,6 @@ impl ReadaheadReader {
         codec: Arc<dyn Codec>,
         threads: usize,
         engine: Engine,
-    ) -> Self {
-        let engine = (threads > 1).then_some(engine);
-        Self::build(inner, codec, threads, engine)
-    }
-
-    fn build<R: Read + Send + 'static>(
-        inner: R,
-        codec: Arc<dyn Codec>,
-        threads: usize,
-        engine: Option<Engine>,
     ) -> Self {
         let threads = threads.max(1);
         let window = threads * IN_FLIGHT_PER_WORKER;
@@ -985,7 +1032,7 @@ fn decode_segment(codec: &dyn Codec, packed: &[u8], out_pool: &BufPool) -> io::R
     match codec.decompress_into(packed, &mut out) {
         Ok(_) if out.is_empty() => {
             // A zero-raw-byte segment is never written; treat as corrupt
-            // (mirrors the serial CodecReader).
+            // (mirrors the inline CodecReader).
             out_pool.put(out);
             Err(io::Error::from(CodecError::Corrupt("empty segment".into())))
         }
@@ -1007,7 +1054,7 @@ fn feed<R: Read>(
     mut inner: R,
     codec: Arc<dyn Codec>,
     threads: usize,
-    engine: Option<Engine>,
+    engine: Engine,
     tx: Sender<(u64, io::Result<Vec<u8>>)>,
     out_pool: Arc<BufPool>,
     gate: Arc<Gate>,
@@ -1016,43 +1063,6 @@ fn feed<R: Read>(
     let window = threads * IN_FLIGHT_PER_WORKER;
     let packed_pool = Arc::new(BufPool::new(window + 2));
     let mut seq = 0u64;
-
-    let Some(engine) = engine else {
-        // Single-threaded readahead: decode inline on this thread (still
-        // fully overlapped with the consumer through the channel).
-        loop {
-            let seg_len = match varint::read_u64(&mut inner) {
-                Ok(n) => n as usize,
-                Err(e) => {
-                    if gate.acquire(&dead) {
-                        let _ = tx.send((seq, Err(e)));
-                    }
-                    return;
-                }
-            };
-            if seg_len == 0 {
-                return;
-            }
-            let mut packed = packed_pool.get();
-            packed.resize(seg_len, 0);
-            if let Err(e) = inner.read_exact(&mut packed) {
-                if gate.acquire(&dead) {
-                    let _ = tx.send((seq, Err(e)));
-                }
-                return;
-            }
-            let result = decode_segment(&*codec, &packed, &out_pool);
-            packed_pool.put(packed);
-            let failed = result.is_err();
-            if !gate.acquire(&dead) {
-                return; // consumer gone
-            }
-            if tx.send((seq, result)).is_err() || failed {
-                return; // consumer dropped, or stream is poisoned
-            }
-            seq += 1;
-        }
-    };
 
     // Free-running: every frame is submitted the moment it is read; the
     // gate caps undelivered segments (and therefore memory) without any
@@ -1065,29 +1075,20 @@ fn feed<R: Read>(
         if dead.load(Ordering::Relaxed) {
             break;
         }
-        let seg_len = match varint::read_u64(&mut inner) {
-            Ok(n) => n as usize,
+        let mut packed = packed_pool.get();
+        match read_segment(&mut inner, &mut packed) {
+            Ok(true) => {}
+            Ok(false) => break,
             Err(e) => {
                 // Tagged with the next unused sequence number, the error
                 // sorts after every submitted segment: the consumer sees
-                // all good data, then the failure — exactly the serial
+                // all good data, then the failure — exactly the inline
                 // reader's ordering.
                 if gate.acquire(&dead) {
                     let _ = tx.send((seq, Err(e)));
                 }
                 break;
             }
-        };
-        if seg_len == 0 {
-            break;
-        }
-        let mut packed = packed_pool.get();
-        packed.resize(seg_len, 0);
-        if let Err(e) = inner.read_exact(&mut packed) {
-            if gate.acquire(&dead) {
-                let _ = tx.send((seq, Err(e)));
-            }
-            break;
         }
         if !gate.acquire(&dead) {
             break; // consumer gone
@@ -1218,12 +1219,8 @@ mod tests {
             serial.write_all(&data).unwrap();
             let expect = serial.finish().unwrap();
 
-            let mut parallel = ParallelCodecWriter::with_segment_size(
-                Vec::new(),
-                Arc::clone(&codec),
-                10_000,
-                threads,
-            );
+            let mut parallel =
+                CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 10_000, threads);
             parallel.write_all(&data).unwrap();
             let got = parallel.finish().unwrap();
             assert_eq!(got, expect, "threads={threads}");
@@ -1241,8 +1238,7 @@ mod tests {
         let expect = serial.finish().unwrap();
         for workers in [1usize, 2, 4, 8] {
             let engine = Engine::new(workers);
-            let mut w =
-                ParallelCodecWriter::with_engine(Vec::new(), Arc::clone(&codec), 9000, 4, engine);
+            let mut w = CodecWriter::with_engine(Vec::new(), Arc::clone(&codec), 9000, 4, engine);
             w.write_all(&data).unwrap();
             assert_eq!(w.finish().unwrap(), expect, "workers={workers}");
         }
@@ -1259,12 +1255,7 @@ mod tests {
         let mut threads_axis = vec![0usize];
         threads_axis.extend(test_threads());
         for threads in threads_axis {
-            let mut w = ParallelCodecWriter::with_segment_size(
-                Vec::new(),
-                Arc::clone(&codec),
-                10_000,
-                threads,
-            );
+            let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 10_000, threads);
             w.write_all(&data).unwrap();
             let (_, segs) = w.finish_with_segments().unwrap();
             assert_eq!(segs, expect, "threads={threads}");
@@ -1279,8 +1270,7 @@ mod tests {
             Arc::new(Lz::default()),
             Arc::new(Bzip::with_block_size(2048)),
         ] {
-            let mut w =
-                ParallelCodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 7000, 4);
+            let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 7000, 4);
             w.write_all(&data).unwrap();
             let file = w.finish().unwrap();
             let mut r = CodecReader::new(&file[..], codec);
@@ -1336,7 +1326,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let codec: Arc<dyn Codec> = Arc::new(Store);
-        let w = ParallelCodecWriter::new(Vec::new(), Arc::clone(&codec), 4);
+        let w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), DEFAULT_SEGMENT_SIZE, 4);
         let file = w.finish().unwrap();
         let mut r = ReadaheadReader::new(std::io::Cursor::new(file), codec, 4);
         let mut back = Vec::new();
@@ -1360,6 +1350,19 @@ mod tests {
         let mut byte = [0u8; 1];
         assert!(r.read(&mut byte).is_err());
         assert!(r.read(&mut byte).is_err());
+
+        // A forged 2^62 length is the same truncation, not an allocation
+        // of the claimed size on the feeder thread.
+        let mut file = Vec::new();
+        varint::write_u64(&mut file, 1 << 62).unwrap();
+        file.extend_from_slice(b"da");
+        let mut r = ReadaheadReader::new(
+            std::io::Cursor::new(file),
+            Arc::new(Store) as Arc<dyn Codec>,
+            2,
+        );
+        let err = r.read_to_end(&mut back).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     /// Regression test: a CRC failure in a *middle* segment must deliver
@@ -1457,8 +1460,7 @@ mod tests {
         // corrupt stream.
         let codec: Arc<dyn Codec> = Arc::new(PanicCodec { marker: 0xEE });
         let engine = Engine::new(2);
-        let mut w =
-            ParallelCodecWriter::with_engine(Vec::new(), Arc::clone(&codec), 100, 4, engine);
+        let mut w = CodecWriter::with_engine(Vec::new(), Arc::clone(&codec), 100, 4, engine);
         let mut data = vec![0u8; 700];
         data[300] = 0xEE; // first byte of segment 3
         let write_err = w.write_all(&data).err();
@@ -1546,9 +1548,10 @@ mod tests {
     /// of 0 or 1 must never construct a zero-width in-flight window
     /// (`threads * IN_FLIGHT_PER_WORKER == 0` would make the
     /// backpressure loop wait for a result that was never submitted).
-    /// Both adapters must run inline, terminate, and produce bytes
-    /// identical to the serial stream — through every constructor,
-    /// including the ones handed an explicit engine.
+    /// The writer must run inline, the reader must clamp its window to
+    /// one thread's worth, and both must terminate with the inline
+    /// stream's bytes — through every constructor, including the ones
+    /// handed an explicit engine.
     #[test]
     fn threads_zero_and_one_run_inline_without_deadlock() {
         let data = sample(40_000);
@@ -1558,18 +1561,13 @@ mod tests {
         let expect = serial.finish().unwrap();
 
         for threads in [0usize, 1] {
-            let mut w = ParallelCodecWriter::with_segment_size(
-                Vec::new(),
-                Arc::clone(&codec),
-                3000,
-                threads,
-            );
+            let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 3000, threads);
             w.write_all(&data).unwrap();
             assert_eq!(w.threads(), 0, "threads={threads} must be inline");
             assert_eq!(w.finish().unwrap(), expect, "threads={threads}");
 
             // An explicit engine must not resurrect a zero-width window.
-            let mut w = ParallelCodecWriter::with_engine(
+            let mut w = CodecWriter::with_engine(
                 Vec::new(),
                 Arc::clone(&codec),
                 3000,
@@ -1613,7 +1611,7 @@ mod tests {
         let expect = serial.finish().unwrap();
 
         let budget = Arc::new(ByteBudget::new(2 * 4096));
-        let mut w = ParallelCodecWriter::with_engine_budget(
+        let mut w = CodecWriter::with_engine_budget(
             Vec::new(),
             Arc::clone(&codec),
             4096,
@@ -1629,7 +1627,7 @@ mod tests {
         // Cap below one segment: the empty-budget overshoot admits each
         // segment alone instead of deadlocking.
         let tiny = Arc::new(ByteBudget::new(100));
-        let mut w = ParallelCodecWriter::with_engine_budget(
+        let mut w = CodecWriter::with_engine_budget(
             Vec::new(),
             Arc::clone(&codec),
             4096,
@@ -1650,7 +1648,7 @@ mod tests {
     #[test]
     fn drop_without_finish_reaps_tasks() {
         let codec: Arc<dyn Codec> = Arc::new(Bzip::with_block_size(2048));
-        let mut w = ParallelCodecWriter::with_segment_size(Vec::new(), codec, 4096, 4);
+        let mut w = CodecWriter::with_threads(Vec::new(), codec, 4096, 4);
         w.write_all(&sample(100_000)).unwrap();
         drop(w); // must not hang or leak threads
     }
@@ -1702,8 +1700,7 @@ mod tests {
         let mut serial = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 8192);
         serial.write_all(&data).unwrap();
 
-        let mut parallel =
-            ParallelCodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 8192, 3);
+        let mut parallel = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 8192, 3);
         parallel.write_all(&data).unwrap();
         assert_eq!(parallel.raw_bytes(), 50_000);
         let serial_len = serial.finish().unwrap().len();
@@ -1717,7 +1714,7 @@ mod tests {
         // in-flight window; the rest of the stream rides recycled buffers.
         let data = sample(100 * 1024);
         let codec: Arc<dyn Codec> = Arc::new(Store);
-        let mut w = ParallelCodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 1024, 3);
+        let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 1024, 3);
         w.write_all(&data).unwrap();
         let stats = w.scratch_stats();
         let window = 3 * IN_FLIGHT_PER_WORKER;
@@ -1736,11 +1733,11 @@ mod tests {
         );
         w.finish().unwrap();
 
-        // Inline serial path: one fresh packed buffer total.
-        let mut w = ParallelCodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 1024, 1);
+        // Inline path: one fresh packed buffer total.
+        let mut w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), 1024, 1);
         w.write_all(&data).unwrap();
         let stats = w.scratch_stats();
-        assert_eq!(stats.fresh, 1, "serial path allocates one packed scratch");
+        assert_eq!(stats.fresh, 1, "inline path allocates one packed scratch");
         assert_eq!(stats.recycled, 99);
         w.finish().unwrap();
     }

@@ -1,11 +1,13 @@
-//! Streaming adapters: write through a codec, read back transparently.
+//! The codec-stream format's shared pieces and its inline reader.
 //!
 //! The ATC compressor streams addresses one at a time, so it needs
 //! `std::io::Write`/`Read` front ends over the block codecs. A
 //! [`CodecWriter`] buffers raw bytes up to a segment size, compresses each
 //! segment, and frames it as `varint(compressed_len) ++ compressed bytes`; a
 //! zero-length varint terminates the stream, allowing multiple logical
-//! streams to share one file. [`CodecReader`] mirrors this.
+//! streams to share one file. [`CodecReader`] mirrors this on the calling
+//! thread; [`ReadaheadReader`](crate::ReadaheadReader) does the same ahead
+//! of the consumer.
 //!
 //! Adapters hold the codec behind an [`Arc`], so long-lived containers (the
 //! ATC directory writer, the TCgen baseline) can share one codec across
@@ -32,8 +34,10 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`CodecWriter`]: crate::CodecWriter
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Read};
 use std::sync::Arc;
 
 use crate::error::CodecError;
@@ -47,15 +51,14 @@ pub const DEFAULT_SEGMENT_SIZE: usize = 1 << 20;
 /// offset of its `varint(compressed_len)` header, the framed length
 /// (header + payload), and how many raw bytes it decodes to.
 ///
-/// The stream writers record one of these per sealed segment — for free,
+/// The stream writer records one of these per sealed segment — for free,
 /// since both values are already on hand when the segment is framed — and
-/// hand the list back from [`CodecWriter::finish_with_segments`] /
-/// [`ParallelCodecWriter::finish_with_segments`]. Containers persist it as
-/// a seek sidecar so readers can jump to any segment without decoding the
-/// prefix.
+/// hands the list back from [`CodecWriter::finish_with_segments`].
+/// Containers persist it as a seek sidecar so readers can jump to any
+/// segment without decoding the prefix.
 ///
-/// [`ParallelCodecWriter::finish_with_segments`]:
-///     crate::ParallelCodecWriter::finish_with_segments
+/// [`CodecWriter::finish_with_segments`]:
+///     crate::CodecWriter::finish_with_segments
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRecord {
     /// Byte offset of the segment's varint header in the codec stream.
@@ -66,204 +69,57 @@ pub struct SegmentRecord {
     pub raw_len: u64,
 }
 
-/// Reusable buffers for one codec stream: the raw segment accumulator and
+/// Reusable buffers of one codec stream: the raw segment accumulator and
 /// the compressed-segment scratch.
 ///
-/// A [`CodecWriter`] owns one of these internally; workloads that open
-/// many short streams back to back (the lossy container writes one stream
-/// per chunk file) can thread a `StreamScratch` through
+/// A [`CodecWriter`] owns these internally; workloads that open many
+/// short streams back to back (the lossy container writes one stream per
+/// chunk file) can thread a `StreamScratch` through
 /// [`CodecWriter::with_scratch`] / [`CodecWriter::finish_with_scratch`] so
-/// every stream after the first reuses the same two allocations.
+/// every stream after the first reuses the same allocations.
+///
+/// [`CodecWriter`]: crate::CodecWriter
+/// [`CodecWriter::with_scratch`]: crate::CodecWriter::with_scratch
+/// [`CodecWriter::finish_with_scratch`]: crate::CodecWriter::finish_with_scratch
 #[derive(Debug, Default)]
 pub struct StreamScratch {
-    buf: Vec<u8>,
-    packed: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
+    /// The writer's pool of compressed-segment buffers (one deep inline).
+    pub(crate) packed: Vec<Vec<u8>>,
 }
 
 impl StreamScratch {
     /// Heap capacity currently held, in bytes (diagnostics only).
     pub fn capacity(&self) -> usize {
-        self.buf.capacity() + self.packed.capacity()
+        self.buf.capacity() + self.packed.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
-/// A `Write` adapter that compresses through a [`Codec`].
+/// Reads one framed segment (`varint(len) ++ len bytes`) into `packed`;
+/// `Ok(false)` is the zero-length end-of-stream marker.
 ///
-/// Segments are compressed with [`Codec::compress_into`] into a scratch
-/// buffer owned by the writer, so the steady-state write path performs no
-/// per-segment allocation.
-///
-/// Call [`CodecWriter::finish`] to write the end-of-stream marker and
-/// recover the inner writer; dropping without `finish` leaves the stream
-/// unterminated (readers will report truncation).
-#[derive(Debug)]
-pub struct CodecWriter<W: Write> {
-    inner: W,
-    codec: Arc<dyn Codec>,
-    buf: Vec<u8>,
-    packed: Vec<u8>,
-    segment_size: usize,
-    raw_bytes: u64,
-    compressed_bytes: u64,
-    segments: Vec<SegmentRecord>,
-}
-
-impl<W: Write> CodecWriter<W> {
-    /// Creates a writer with the default segment size.
-    pub fn new(inner: W, codec: Arc<dyn Codec>) -> Self {
-        Self::with_segment_size(inner, codec, DEFAULT_SEGMENT_SIZE)
-    }
-
-    /// Creates a writer that compresses every `segment_size` raw bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment_size` is zero.
-    pub fn with_segment_size(inner: W, codec: Arc<dyn Codec>, segment_size: usize) -> Self {
-        Self::with_scratch(inner, codec, segment_size, StreamScratch::default())
-    }
-
-    /// Creates a writer that reuses `scratch` from an earlier stream
-    /// (see [`StreamScratch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment_size` is zero.
-    pub fn with_scratch(
-        inner: W,
-        codec: Arc<dyn Codec>,
-        segment_size: usize,
-        scratch: StreamScratch,
-    ) -> Self {
-        assert!(segment_size > 0, "segment size must be positive");
-        let StreamScratch { mut buf, packed } = scratch;
-        buf.clear();
-        if buf.capacity() == 0 {
-            buf.reserve(segment_size.min(1 << 22));
-        }
-        Self {
-            inner,
-            codec,
-            buf,
-            packed,
-            segment_size,
-            raw_bytes: 0,
-            compressed_bytes: 0,
-            segments: Vec::new(),
-        }
-    }
-
-    /// Raw bytes accepted so far.
-    pub fn raw_bytes(&self) -> u64 {
-        self.raw_bytes
-    }
-
-    /// Compressed bytes emitted so far (excluding data still buffered).
-    pub fn compressed_bytes(&self) -> u64 {
-        self.compressed_bytes
-    }
-
-    fn flush_segment(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let file_offset = self.compressed_bytes;
-        let raw_len = self.buf.len() as u64;
-        let n = self.codec.compress_into(&self.buf, &mut self.packed);
-        self.buf.clear();
-        // Fixed-size stack header: a u64 varint never exceeds 10 bytes.
-        let mut header = [0u8; 10];
-        let mut cursor = &mut header[..];
-        varint::write_u64(&mut cursor, n as u64)?;
-        let header_len = 10 - cursor.len();
-        self.inner.write_all(&header[..header_len])?;
-        self.inner.write_all(&self.packed[..n])?;
-        self.compressed_bytes += (header_len + n) as u64;
-        self.segments.push(SegmentRecord {
-            file_offset,
-            compressed_len: (header_len + n) as u64,
-            raw_len,
-        });
-        Ok(())
-    }
-
-    /// Flushes the final segment, writes the end-of-stream marker, and
-    /// returns the inner writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the inner writer.
-    pub fn finish(self) -> io::Result<W> {
-        self.finish_parts().map(|(inner, _, _)| inner)
-    }
-
-    /// Like [`CodecWriter::finish`], but also hands back the stream's
-    /// scratch buffers for reuse by a later [`CodecWriter::with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the inner writer.
-    pub fn finish_with_scratch(self) -> io::Result<(W, StreamScratch)> {
-        self.finish_parts()
-            .map(|(inner, scratch, _)| (inner, scratch))
-    }
-
-    /// Like [`CodecWriter::finish`], but also hands back one
-    /// [`SegmentRecord`] per sealed segment, in stream order — the raw
-    /// material for a seek sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the inner writer.
-    pub fn finish_with_segments(self) -> io::Result<(W, Vec<SegmentRecord>)> {
-        self.finish_parts().map(|(inner, _, segs)| (inner, segs))
-    }
-
-    fn finish_parts(mut self) -> io::Result<(W, StreamScratch, Vec<SegmentRecord>)> {
-        self.flush_segment()?;
-        let mut eos = [0u8; 10];
-        let mut cursor = &mut eos[..];
-        varint::write_u64(&mut cursor, 0)?;
-        let eos_len = 10 - cursor.len();
-        self.inner.write_all(&eos[..eos_len])?;
-        self.compressed_bytes += eos_len as u64;
-        self.inner.flush()?;
-        Ok((
-            self.inner,
-            StreamScratch {
-                buf: self.buf,
-                packed: self.packed,
-            },
-            self.segments,
+/// The length is untrusted, so `packed` grows in steps of at most
+/// [`DEFAULT_SEGMENT_SIZE`] as bytes actually arrive: an honest segment
+/// is one `resize` and one `read_exact`, and a lying length costs an
+/// `UnexpectedEof` after buffering what the input really holds, never an
+/// allocation of the claimed size.
+pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::Result<bool> {
+    packed.clear();
+    let seg_len = usize::try_from(varint::read_u64(inner)?).map_err(|_| {
+        io::Error::from(CodecError::Corrupt(
+            "segment length exceeds address space".into(),
         ))
+    })?;
+    while packed.len() < seg_len {
+        let filled = packed.len();
+        packed.resize(filled + (seg_len - filled).min(DEFAULT_SEGMENT_SIZE), 0);
+        inner.read_exact(&mut packed[filled..])?;
     }
+    Ok(seg_len > 0)
 }
 
-impl<W: Write> Write for CodecWriter<W> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut rest = data;
-        while !rest.is_empty() {
-            let room = self.segment_size - self.buf.len();
-            let take = room.min(rest.len());
-            self.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.buf.len() == self.segment_size {
-                self.flush_segment()?;
-            }
-        }
-        self.raw_bytes += data.len() as u64;
-        Ok(data.len())
-    }
-
-    /// Flushes the inner writer only. Buffered raw bytes are *not* forced
-    /// into a short segment (that would hurt the compression ratio); they
-    /// are emitted by [`CodecWriter::finish`].
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// A `Read` adapter that decompresses a [`CodecWriter`] stream.
+/// A `Read` adapter that decompresses a [`CodecWriter`](crate::CodecWriter)
+/// stream on the calling thread.
 ///
 /// The packed-segment buffer and the decompressed-segment buffer are both
 /// reused across segments ([`Codec::decompress_into`]), so steady-state
@@ -315,14 +171,10 @@ impl<R: Read> CodecReader<R> {
         if self.finished {
             return Ok(false);
         }
-        let seg_len = varint::read_u64(&mut self.inner)? as usize;
-        if seg_len == 0 {
+        if !read_segment(&mut self.inner, &mut self.packed)? {
             self.finished = true;
             return Ok(false);
         }
-        self.packed.clear();
-        self.packed.resize(seg_len, 0);
-        self.inner.read_exact(&mut self.packed)?;
         // Reset the consumer view *before* decoding: decompress_into
         // reuses `current`, so a decode error must never leave a stale
         // `pos` pointing into partial output (a retried `read` would
@@ -380,7 +232,8 @@ impl<R: Read> BufRead for CodecReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bzip, Lz, Store};
+    use crate::{Bzip, CodecWriter, Lz, Store};
+    use std::io::Write;
 
     fn roundtrip(codec: Arc<dyn Codec>, data: &[u8], segment: usize) {
         let mut w = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), segment);
@@ -462,6 +315,24 @@ mod tests {
         let mut r = CodecReader::new(&file[..], Arc::new(Store) as Arc<dyn Codec>);
         let mut back = Vec::new();
         assert!(r.read_to_end(&mut back).is_err());
+
+        // A length of 2^62 over two bytes of payload: the same error, not
+        // an allocation of the claimed size.
+        let mut file = Vec::new();
+        varint::write_u64(&mut file, 1 << 62).unwrap();
+        file.extend_from_slice(b"da");
+        let mut r = CodecReader::new(&file[..], Arc::new(Store) as Arc<dyn Codec>);
+        let err = r.read_to_end(&mut back).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn segment_longer_than_one_read_step_roundtrips() {
+        // A packed segment of 2.5 read steps arrives in three reads.
+        let data: Vec<u8> = (0..DEFAULT_SEGMENT_SIZE * 5 / 2)
+            .map(|i| (i % 241) as u8)
+            .collect();
+        roundtrip(Arc::new(Store), &data, data.len());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use atc_codec::bwt::{bwt_forward, bwt_inverse};
 use atc_codec::mtf::{mtf_decode, mtf_encode};
 use atc_codec::rle::{rle_decode, rle_encode};
 use atc_codec::sais::suffix_array;
-use atc_codec::{Bzip, Codec, CodecReader, CodecWriter, Lz, ParallelCodecWriter, Store};
+use atc_codec::{Bzip, Codec, CodecReader, CodecWriter, Lz, Store};
 
 /// Thread counts exercised by the byte-identity tests.
 ///
@@ -127,9 +127,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
 
-    // The parallel writer must produce streams the *serial* reader
-    // decompresses byte-identically, at every thread count and segment
-    // size — the on-disk format never depends on the writer's threading.
+    // The engine-backed writer must produce the inline writer's bytes,
+    // and streams the *inline* reader decompresses identically, at every
+    // thread count and segment size — the on-disk format never depends
+    // on the writer's threading.
     #[test]
     fn parallel_writer_decodes_identically_via_serial_reader(
         data in vec(any::<u8>(), 0..20_000),
@@ -142,7 +143,7 @@ proptest! {
         let serial_file = serial.finish().unwrap();
 
         for threads in test_threads() {
-            let mut w = ParallelCodecWriter::with_segment_size(
+            let mut w = CodecWriter::with_threads(
                 Vec::new(),
                 Arc::clone(&codec),
                 segment,
@@ -160,31 +161,10 @@ proptest! {
         }
     }
 
-    // Multi-block Bzip parallelism: parallel decompress must round-trip
-    // serial compress output and vice versa (and the compressed bytes
-    // must be identical in both directions).
-    #[test]
-    fn parallel_bzip_interoperates_with_serial(
-        data in vec(any::<u8>(), 0..24_000),
-    ) {
-        let serial = Bzip::with_block_size(1024); // force many blocks
-        let packed_serial = serial.compress(&data);
-        for threads in test_threads() {
-            let parallel = Bzip::with_block_size(1024).threads(threads);
-            let packed_parallel = parallel.compress(&data);
-            prop_assert_eq!(&packed_serial, &packed_parallel, "compressed bytes, threads={}", threads);
-
-            // serial compress -> parallel decompress
-            prop_assert_eq!(&parallel.decompress(&packed_serial).unwrap(), &data);
-            // parallel compress -> serial decompress
-            prop_assert_eq!(&serial.decompress(&packed_parallel).unwrap(), &data);
-        }
-    }
-
     // Forced-stealing byte identity: an injected engine whose home worker
     // is buried under junk tasks makes the writer's segments get *stolen*
     // by the other workers, and the output must still be byte-identical
-    // to the serial stream at every worker count. This pins the lock-free
+    // to the inline stream at every worker count. This pins the lock-free
     // deque path (owner pop vs thief CAS) to on-disk bytes.
     #[test]
     fn forced_stealing_keeps_streams_byte_identical(
@@ -193,7 +173,7 @@ proptest! {
         let codec: Arc<dyn Codec> = Arc::new(Bzip::with_block_size(2048));
         let mut serial = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 1024);
         serial.write_all(&data).unwrap();
-        let serial_file = serial.finish().unwrap();
+        let (serial_file, serial_segments) = serial.finish_with_segments().unwrap();
 
         for workers in test_threads() {
             let engine = atc_engine::Engine::new(workers);
@@ -203,7 +183,7 @@ proptest! {
             for _ in 0..64 {
                 engine.submit(0, || std::thread::sleep(std::time::Duration::from_micros(50)));
             }
-            let mut w = ParallelCodecWriter::with_engine(
+            let mut w = CodecWriter::with_engine(
                 Vec::new(),
                 Arc::clone(&codec),
                 1024,
@@ -211,8 +191,9 @@ proptest! {
                 engine.clone(),
             );
             w.write_all(&data).unwrap();
-            let file = w.finish().unwrap();
+            let (file, segments) = w.finish_with_segments().unwrap();
             prop_assert_eq!(&file, &serial_file, "stream bytes, workers={}", workers);
+            prop_assert_eq!(&segments, &serial_segments, "records, workers={}", workers);
             if workers > 1 && !data.is_empty() {
                 // The junk backlog guarantees contention; with several
                 // workers some of it must have been stolen.
@@ -220,30 +201,12 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn parallel_bzip_rejects_corruption_like_serial(
-        data in vec(any::<u8>(), 2048..8192),
-        flip_bit in 0usize..64,
-    ) {
-        let parallel = Bzip::with_block_size(1024).threads(4);
-        let mut packed = parallel.compress(&data);
-        let pos = packed.len() - 1 - (flip_bit / 8) % packed.len().min(64);
-        packed[pos] ^= 1 << (flip_bit % 8);
-        let serial = Bzip::with_block_size(1024);
-        // Whatever the serial codec says, the parallel one must agree.
-        prop_assert_eq!(
-            serial.decompress(&packed).is_err(),
-            parallel.decompress(&packed).is_err()
-        );
-    }
 }
 
 /// Every built-in codec, sized so multi-block paths are exercised.
 fn all_codecs() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(Bzip::with_block_size(1024)),
-        Box::new(Bzip::with_block_size(1024).threads(4)),
         Box::new(Lz::with_block_size(1024)),
         Box::new(Store),
     ]

@@ -216,7 +216,7 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<Vec<u64>>> {
 /// Accounting for the borrowed (zero-copy) frame-read path
 /// ([`read_frame_borrowed`]): how many column bytes were consumed in place
 /// versus copied. The analogue of
-/// [`atc_codec::ParallelCodecWriter::scratch_stats`] for the decode side —
+/// [`atc_codec::CodecWriter::scratch_stats`] for the decode side —
 /// regression tests pin `copied_bytes == 0` whenever frames do not
 /// straddle segment boundaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -926,7 +926,10 @@ impl StoreManifest {
         if shard_counts.is_empty() {
             return Err(AtcError::Format("manifest lists no shards".into()));
         }
-        let sum: u64 = shard_counts.iter().sum();
+        let sum = shard_counts
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c))
+            .ok_or_else(|| AtcError::Format("manifest shard counts overflow".into()))?;
         if sum != count {
             return Err(AtcError::Format(format!(
                 "manifest shard counts sum to {sum}, count says {count}"
@@ -1598,6 +1601,10 @@ mod tests {
         assert!(StoreManifest::parse(no_shards).is_err(), "no shards");
         let bad_sum = "version=1\npolicy=round-robin\ncount=5\nshard_counts=1,2\n";
         assert!(StoreManifest::parse(bad_sum).is_err(), "counts don't sum");
+        // u64::MAX + 300001 wraps to exactly the declared count.
+        let wraps = "version=1\npolicy=round-robin\ncount=300000\n\
+                     shard_counts=18446744073709551615,300001\n";
+        assert!(StoreManifest::parse(wraps).is_err(), "wrapping sum");
         let future = "version=99\npolicy=round-robin\ncount=3\nshard_counts=1,2\n";
         assert!(StoreManifest::parse(future).is_err(), "future version");
         let bad_hex = "version=2\npolicy=thread-id\ncount=3\nshard_counts=1,2\ninterleave=zz\n";

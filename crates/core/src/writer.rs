@@ -8,9 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use atc_codec::{
-    codec_by_name, ByteBudget, Codec, CodecWriter, ParallelCodecWriter, StreamScratch,
-};
+use atc_codec::{codec_by_name, ByteBudget, Codec, CodecWriter, StreamScratch};
 use atc_engine::{panic_message, Engine, WorkerLocal};
 
 use crate::error::{AtcError, Result};
@@ -132,7 +130,7 @@ pub struct AtcWriter {
 #[derive(Debug)]
 enum State {
     Lossless {
-        out: Box<ParallelCodecWriter<BufWriter<File>>>,
+        out: Box<CodecWriter<BufWriter<File>>>,
         buf: Vec<u64>,
     },
     Lossy {
@@ -686,10 +684,10 @@ impl AtcWriter {
         let state = match mode {
             Mode::Lossless => {
                 let file = BufWriter::new(File::create(dir.join(format::DATA_FILE))?);
-                // threads <= 1 runs inline on this thread — exactly the
-                // serial CodecWriter path and byte-identical output.
+                // threads <= 1 compresses inline on this thread; the
+                // bytes are the same either way.
                 let out = match engine {
-                    Some(e) => ParallelCodecWriter::with_engine_budget(
+                    Some(e) => CodecWriter::with_engine_budget(
                         file,
                         Arc::clone(&codec),
                         atc_codec::DEFAULT_SEGMENT_SIZE,
@@ -697,7 +695,7 @@ impl AtcWriter {
                         e,
                         budget,
                     ),
-                    None => ParallelCodecWriter::new(file, Arc::clone(&codec), threads),
+                    None => CodecWriter::new(file, Arc::clone(&codec)),
                 };
                 State::Lossless {
                     out: Box::new(out),

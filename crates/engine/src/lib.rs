@@ -1,10 +1,10 @@
 //! Shared work-stealing execution runtime for the compression pipelines.
 //!
 //! Before this crate, every parallel layer of the workspace owned its own
-//! thread pool: the segment pool of `ParallelCodecWriter`, the readahead
-//! decode pool, the multi-block `Bzip` scoped threads, and the lossy
-//! chunk pool — plus a *static* per-shard split of the store's thread
-//! budget. Idle capacity in one pool could not help a busy neighbour.
+//! thread pool: the segment pool of the codec-stream writer, the
+//! readahead decode pool, and the lossy chunk pool — plus a *static*
+//! per-shard split of the store's thread budget. Idle capacity in one
+//! pool could not help a busy neighbour.
 //!
 //! [`Engine`] replaces all of them with one scheduler over independent
 //! tasks: a fixed set of long-lived worker threads, each owning a
@@ -33,14 +33,11 @@
 //! actor task). That per-block independence is what lets the same bytes
 //! come out at every worker count.
 //!
-//! Three task-submission shapes cover every pipeline in the workspace:
+//! Two shapes cover every pipeline in the workspace:
 //!
-//! * [`Engine::submit`] — fire-and-forget `'static` task on a home deque
-//!   (segment compression, readahead decode, chunk files).
-//! * [`Engine::scope`] — structured fork/join over tasks that may borrow
-//!   the caller's stack ([`Scope::spawn`]); the scoping thread helps run
-//!   its own tasks, so a scope opened *from inside* an engine task cannot
-//!   deadlock.
+//! * [`Engine::submit`] / [`Engine::submit_any`] — fire-and-forget
+//!   `'static` task on a home deque or the shared injector (segment
+//!   compression, readahead decode, chunk files, network connections).
 //! * [`WorkerLocal`] — per-worker scratch storage, so a task category can
 //!   reuse buffers across tasks without locking during the work itself.
 //!
@@ -58,16 +55,15 @@
 //!
 //! let engine = Engine::new(2);
 //! let sum = Arc::new(AtomicU64::new(0));
-//! engine.scope(|s| {
-//!     for i in 0..10u64 {
-//!         let sum = Arc::clone(&sum);
-//!         s.spawn(move || {
-//!             sum.fetch_add(i, Ordering::Relaxed);
-//!         });
-//!     }
-//! });
+//! let home = engine.assign_home();
+//! for i in 0..10u64 {
+//!     let sum = Arc::clone(&sum);
+//!     engine.submit(home, move || {
+//!         sum.fetch_add(i, Ordering::Relaxed);
+//!     });
+//! }
+//! drop(engine); // the last handle drains the queues, then joins the workers
 //! assert_eq!(sum.load(Ordering::Relaxed), 45);
-//! assert!(engine.stats().tasks_run <= 10); // scoper helps run its own tasks
 //! ```
 
 #![warn(missing_docs)]
@@ -77,7 +73,6 @@ mod deque;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -121,8 +116,7 @@ thread_local! {
 pub struct EngineStats {
     /// Tasks handed to the engine (home inboxes + injector).
     pub submitted: u64,
-    /// Tasks executed by engine workers (excludes scope tasks the
-    /// scoping thread ran itself).
+    /// Tasks executed by engine workers.
     pub tasks_run: u64,
     /// Tasks a worker took from *another* worker's deque or inbox — the
     /// work-donation counter: nonzero means an idle worker picked up a
@@ -439,39 +433,6 @@ impl Engine {
         self.shared.signal_work();
     }
 
-    /// Runs `f` with a [`Scope`] that can spawn tasks borrowing from the
-    /// caller's stack, and returns once every spawned task finished.
-    ///
-    /// Spawned tasks are offered to the engine workers, and the scoping
-    /// thread *also* runs them itself while it waits — so a scope is never
-    /// slower than doing the work inline, and a scope opened from inside
-    /// an engine task cannot deadlock even with a single worker.
-    ///
-    /// # Panics
-    ///
-    /// If a spawned task panics, the panic is resumed on the scoping
-    /// thread after all other tasks in the scope finished (mirroring
-    /// `std::thread::scope`).
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'env>) -> R) -> R {
-        let inner = Arc::new(ScopeInner::default());
-        let scope = Scope {
-            engine: self.clone(),
-            inner: Arc::clone(&inner),
-            _env: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Help: run this scope's not-yet-started tasks on this thread.
-        while let Some(task) = inner.pop_task() {
-            inner.run_one(task);
-        }
-        let panic = inner.wait_done();
-        match (result, panic) {
-            (Ok(r), None) => r,
-            (_, Some(p)) => std::panic::resume_unwind(p),
-            (Err(p), None) => std::panic::resume_unwind(p),
-        }
-    }
-
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
         let c = &self.shared.counters;
@@ -610,102 +571,6 @@ fn worker(shared: Arc<Shared>, index: usize) {
     }
 }
 
-#[derive(Default)]
-struct ScopeSync {
-    spawned: usize,
-    completed: usize,
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-#[derive(Default)]
-struct ScopeInner {
-    /// Spawned-but-not-started closures (lifetime-erased; see the safety
-    /// argument in [`Scope::spawn`]).
-    tasks: Mutex<VecDeque<Task>>,
-    sync: Mutex<ScopeSync>,
-    done: Condvar,
-}
-
-impl ScopeInner {
-    fn pop_task(&self) -> Option<Task> {
-        self.tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-    }
-
-    fn run_one(&self, task: Task) {
-        let result = catch_unwind(AssertUnwindSafe(task));
-        let mut sync = self.sync.lock().unwrap_or_else(|e| e.into_inner());
-        if let Err(p) = result {
-            sync.panic.get_or_insert(p);
-        }
-        sync.completed += 1;
-        // lock-held: `sync` — the guard is live until the end of this
-        // function, so `wait_done` cannot check `completed` and park
-        // between our increment and this notify.
-        self.done.notify_all();
-    }
-
-    /// Blocks until every spawned task completed; returns the first
-    /// panic payload, if any.
-    fn wait_done(&self) -> Option<Box<dyn Any + Send>> {
-        let mut sync = self.sync.lock().unwrap_or_else(|e| e.into_inner());
-        while sync.completed < sync.spawned {
-            sync = self.done.wait(sync).unwrap_or_else(|e| e.into_inner());
-        }
-        sync.panic.take()
-    }
-}
-
-/// Spawn surface of [`Engine::scope`]: fork tasks that may borrow from
-/// the enclosing stack frame.
-pub struct Scope<'env> {
-    engine: Engine,
-    inner: Arc<ScopeInner>,
-    /// Invariant over `'env`, like `std::thread::Scope`.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope").finish_non_exhaustive()
-    }
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns a task that may borrow `'env` data.
-    ///
-    /// The task runs on an engine worker or on the scoping thread itself
-    /// (whichever gets to it first); [`Engine::scope`] does not return
-    /// until it finished either way.
-    pub fn spawn<F: FnOnce() + Send + 'env>(&self, f: F) {
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: the closure may borrow 'env data, but `Engine::scope`
-        // does not return before `wait_done` saw every spawned closure
-        // complete, so no borrow outlives its stack frame. Workers that
-        // pick up the ticket below after the scope already drained the
-        // queue find it empty and touch nothing.
-        let boxed: Task =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(boxed) };
-        {
-            let mut sync = self.inner.sync.lock().unwrap_or_else(|e| e.into_inner());
-            sync.spawned += 1;
-        }
-        self.inner
-            .tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(boxed);
-        let inner = Arc::clone(&self.inner);
-        self.engine.submit_any(move || {
-            if let Some(task) = inner.pop_task() {
-                inner.run_one(task);
-            }
-        });
-    }
-}
-
 /// Per-worker scratch storage: one `T` slot per engine worker, taken for
 /// the duration of a task and put back afterwards.
 ///
@@ -805,61 +670,6 @@ mod tests {
             engine.stats().steals > 0,
             "idle workers must steal a skewed backlog"
         );
-    }
-
-    #[test]
-    fn scope_joins_borrowed_tasks() {
-        let engine = Engine::new(2);
-        let mut outputs = [0u64; 16];
-        let input = 7u64;
-        engine.scope(|s| {
-            for (i, slot) in outputs.iter_mut().enumerate() {
-                s.spawn(move || *slot = input * i as u64);
-            }
-        });
-        for (i, &v) in outputs.iter().enumerate() {
-            assert_eq!(v, 7 * i as u64);
-        }
-    }
-
-    #[test]
-    fn nested_scope_on_one_worker_does_not_deadlock() {
-        // A task running on the single worker opens a scope of its own;
-        // the scoping (worker) thread must help itself to the sub-tasks.
-        let engine = Engine::new(1);
-        let (tx, rx) = mpsc::channel::<u64>();
-        let inner_engine = engine.clone();
-        engine.submit(0, move || {
-            let mut total = 0u64;
-            inner_engine.scope(|s| {
-                let total = &mut total;
-                s.spawn(move || *total = 42);
-            });
-            tx.send(total).unwrap();
-        });
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-            42,
-            "nested scope must complete"
-        );
-    }
-
-    #[test]
-    fn scope_propagates_panics_after_joining() {
-        let engine = Engine::new(2);
-        let finished = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&finished);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            engine.scope(|s| {
-                let f = Arc::clone(&f);
-                s.spawn(move || {
-                    f.fetch_add(1, Ordering::SeqCst);
-                });
-                s.spawn(|| panic!("boom"));
-            });
-        }));
-        assert!(result.is_err(), "panic must propagate out of the scope");
-        assert_eq!(finished.load(Ordering::SeqCst), 1, "siblings still ran");
     }
 
     #[test]

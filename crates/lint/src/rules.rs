@@ -528,7 +528,7 @@ fn check_rogue_thread_spawn(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                     t,
                     format!(
                         "thread::{callee} in library code outside crates/engine — \
-                         route work through Engine (Engine::scope / submit)"
+                         route work through Engine::submit"
                     ),
                 ));
             }

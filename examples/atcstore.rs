@@ -50,7 +50,7 @@ use atc::store::{AtcStore, ShardPolicy, StoreOptions, StoreReader};
 
 #[path = "cli_util/mod.rs"]
 mod cli_util;
-use cli_util::positional;
+use cli_util::{positional, reject_unknown_flags};
 #[path = "cli_util/filter.rs"]
 mod cli_filter;
 use cli_filter::FilterOptions;
@@ -58,13 +58,13 @@ use cli_filter::FilterOptions;
 const USAGE: &str = "usage: atcstore <pack|unpack|read|stat> <root> \
     [--shards N] [--policy round-robin|addr-range:SHIFT] \
     [--lossless] [--interval N] [--buffer N] [--codec NAME] [--threads N] [--shard I] \
-    [--filter] [--filter-threads N] [--filter-writebacks] \
+    [--filter] [--filter-writebacks] \
     [--range A..B] \
     | atcstore fetch --addr HOST:PORT (--range A..B | --shard I [--from N])";
 
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut value_flags = vec![
+    let value_flags = [
         "--shards",
         "--policy",
         "--interval",
@@ -76,7 +76,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         "--addr",
         "--from",
     ];
-    value_flags.extend_from_slice(FilterOptions::VALUE_FLAGS);
+    let bool_flags = ["--lossless", "--filter", "--filter-writebacks"];
+    reject_unknown_flags(&args, &bool_flags, &value_flags)?;
     let command = positional(&args, &value_flags).ok_or(USAGE)?.clone();
     if command == "fetch" {
         // Remote verb: talks to an `atcd` daemon, takes no store root.

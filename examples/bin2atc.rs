@@ -9,9 +9,9 @@
 //! cat trace.bin | cargo run --release --example bin2atc -- foobar --lossless
 //!
 //! # L1-filter the raw addresses first (the paper's trace collection,
-//! # §4.2) with 4 set-partitioned filter workers:
+//! # §4.2):
 //! cat accesses.bin | cargo run --release --example bin2atc -- foobar \
-//!     --lossless --filter --filter-threads 4
+//!     --lossless --filter
 //! ```
 
 use std::error::Error;
@@ -21,18 +21,19 @@ use atc::core::{AtcOptions, AtcWriter, LossyConfig, Mode};
 
 #[path = "cli_util/mod.rs"]
 mod cli_util;
-use cli_util::positional;
+use cli_util::{positional, reject_unknown_flags};
 #[path = "cli_util/filter.rs"]
 mod cli_filter;
 use cli_filter::FilterOptions;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut value_flags = vec!["--interval", "--buffer", "--codec", "--threads"];
-    value_flags.extend_from_slice(FilterOptions::VALUE_FLAGS);
+    let value_flags = ["--interval", "--buffer", "--codec", "--threads"];
+    let bool_flags = ["--lossless", "--filter", "--filter-writebacks"];
+    reject_unknown_flags(&args, &bool_flags, &value_flags)?;
     let dir = positional(&args, &value_flags).ok_or(
         "usage: bin2atc <dir> [--lossless] [--interval N] [--buffer N] [--codec NAME] \
-             [--threads N] [--filter] [--filter-threads N] [--filter-writebacks]",
+             [--threads N] [--filter] [--filter-writebacks]",
     )?;
     let lossless = args.iter().any(|a| a == "--lossless");
     let get = |key: &str, default: usize| -> usize {

@@ -4,105 +4,36 @@
 //! With `--filter`, stdin's raw 64-bit byte addresses are run through
 //! the paper's 32 KB 4-way L1 geometry (§4.2) before compression, so
 //! the written trace contains only the cache-filtered block addresses —
-//! the exact streams ATC was designed for. `--filter-threads N` swaps
-//! in the set-partitioned parallel filter on a private N-worker engine;
-//! its output is byte-identical to the serial filter at every worker
-//! count, so downstream directories `cmp` equal regardless of N.
+//! the exact streams ATC was designed for.
 
 use std::error::Error;
 use std::io::Read;
 
-use atc::cache::{CacheFilter, ParallelCacheFilter};
-use atc::engine::Engine;
+use atc::cache::CacheFilter;
 use atc::trace::Access;
 
-/// Values per ingest block: big enough to amortize the batch dispatch
-/// and the parallel fan-out, small enough to stay cache-friendly.
+/// Values per ingest block: big enough to amortize the batch dispatch,
+/// small enough to stay cache-friendly.
 const BLOCK_VALUES: usize = 1 << 16;
 
 /// Parsed `--filter*` flags.
 pub struct FilterOptions {
     /// Whether filtering is enabled at all.
     pub enabled: bool,
-    /// Filter worker threads (1 = serial in-process filtering).
-    pub threads: usize,
     /// Emit tagged write-back records after the misses that caused them.
     pub writebacks: bool,
 }
 
 impl FilterOptions {
-    /// Reads `--filter`, `--filter-threads N`, and `--filter-writebacks`
-    /// from the raw argument list. The value-taking flags imply
-    /// `--filter` on their own.
+    /// Reads `--filter` and `--filter-writebacks` from the raw argument
+    /// list; `--filter-writebacks` implies `--filter` on its own.
     pub fn parse(args: &[String]) -> Self {
-        let threads = args
-            .iter()
-            .position(|a| a == "--filter-threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
-            .max(1);
         let writebacks = args.iter().any(|a| a == "--filter-writebacks");
-        let enabled = args.iter().any(|a| a == "--filter")
-            || args.iter().any(|a| a == "--filter-threads")
-            || writebacks;
+        let enabled = writebacks || args.iter().any(|a| a == "--filter");
         Self {
             enabled,
-            threads,
             writebacks,
         }
-    }
-
-    /// The value-taking flags this module owns (for `positional`).
-    pub const VALUE_FLAGS: &'static [&'static str] = &["--filter-threads"];
-}
-
-/// Either filter form behind one `filter_batch` surface (boxed: the
-/// serial filter embeds its caches by value).
-enum Front {
-    Serial(Box<CacheFilter>),
-    Parallel(Box<ParallelCacheFilter>),
-}
-
-impl Front {
-    fn new(opts: &FilterOptions) -> Self {
-        if opts.threads > 1 {
-            let engine = Engine::new(opts.threads);
-            let f = if opts.writebacks {
-                ParallelCacheFilter::paper_with_writebacks(engine, opts.threads)
-            } else {
-                ParallelCacheFilter::paper(engine, opts.threads)
-            };
-            Front::Parallel(Box::new(f))
-        } else if opts.writebacks {
-            Front::Serial(Box::new(CacheFilter::paper_with_writebacks()))
-        } else {
-            Front::Serial(Box::new(CacheFilter::paper()))
-        }
-    }
-
-    fn filter_batch(&mut self, accesses: &[Access], out: &mut Vec<u64>) {
-        match self {
-            Front::Serial(f) => f.filter_batch(accesses, out),
-            Front::Parallel(f) => f.filter_batch(accesses, out),
-        }
-    }
-
-    fn report(&self) {
-        let (accesses, misses, writebacks, ratio, threads) = match self {
-            Front::Serial(f) => (f.accesses(), f.misses(), f.writebacks(), f.miss_ratio(), 1),
-            Front::Parallel(f) => (
-                f.accesses(),
-                f.misses(),
-                f.writebacks(),
-                f.miss_ratio(),
-                f.partitions(),
-            ),
-        };
-        eprintln!(
-            "filter: {accesses} accesses -> {misses} misses ({ratio:.4} miss ratio), \
-             {writebacks} write-backs, {threads} thread(s)"
-        );
     }
 }
 
@@ -116,7 +47,11 @@ pub fn run<F>(opts: &FilterOptions, mut sink: F) -> Result<(), Box<dyn Error>>
 where
     F: FnMut(&[u64]) -> Result<(), Box<dyn Error>>,
 {
-    let mut front = Front::new(opts);
+    let mut front = if opts.writebacks {
+        CacheFilter::paper_with_writebacks()
+    } else {
+        CacheFilter::paper()
+    };
     let mut stdin = std::io::stdin().lock();
     let mut bytes = vec![0u8; BLOCK_VALUES * 8];
     let mut accesses = Vec::with_capacity(BLOCK_VALUES);
@@ -140,7 +75,13 @@ where
             break;
         }
     }
-    front.report();
+    eprintln!(
+        "filter: {} accesses -> {} misses ({:.4} miss ratio), {} write-backs",
+        front.accesses(),
+        front.misses(),
+        front.miss_ratio(),
+        front.writebacks()
+    );
     Ok(())
 }
 

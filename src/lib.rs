@@ -25,8 +25,8 @@
 //!   or per-shard read-back.
 //! * [`engine`] (`atc-engine`) — the shared work-stealing execution
 //!   runtime every parallel layer (codec segments, readahead decode,
-//!   multi-block Bzip, lossy classification/chunks, all store shards)
-//!   submits its tasks to.
+//!   lossy classification/chunks, all store shards) submits its tasks
+//!   to.
 //! * [`net`] (`atc-net`) — the trace service: the `atcd` daemon serving
 //!   packed store roots to many clients over TCP, and the blocking
 //!   client.
