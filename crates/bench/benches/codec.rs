@@ -59,12 +59,12 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-/// Thread-count axis for the free-running readahead reader over a
-/// many-segment stream: workers pull frames as they finish (no batch
-/// barrier), so decode throughput should track the thread count on
-/// multi-core hosts.
+/// Thread-count axis for the reader's consumer-driven readahead window
+/// over a many-segment stream (1 = inline): workers decode the window's
+/// segments as they finish (no batch barrier), so decode throughput
+/// should track the thread count on multi-core hosts.
 fn bench_readahead(c: &mut Criterion) {
-    use atc_codec::{CodecWriter, ReadaheadReader};
+    use atc_codec::{CodecReader, CodecWriter};
     use std::io::{Read, Write};
     use std::sync::Arc;
 
@@ -82,11 +82,7 @@ fn bench_readahead(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("bzip", threads), &file, |b, f| {
             b.iter(|| {
-                let mut r = ReadaheadReader::new(
-                    std::io::Cursor::new(f.clone()),
-                    Arc::clone(&codec),
-                    threads,
-                );
+                let mut r = CodecReader::with_threads(&f[..], Arc::clone(&codec), threads);
                 let mut back = Vec::with_capacity(n);
                 r.read_to_end(&mut back).unwrap();
                 black_box(back.len())

@@ -49,7 +49,7 @@ pub use atc_engine::{Engine, EngineStats};
 pub use bzip::{Bzip, DEFAULT_BLOCK_SIZE};
 pub use error::CodecError;
 pub use lz::Lz;
-pub use parallel::{ByteBudget, CodecWriter, ReadaheadReader, ScratchStats, IN_FLIGHT_PER_WORKER};
+pub use parallel::{ByteBudget, CodecWriter, ScratchStats, IN_FLIGHT_PER_WORKER};
 pub use store::Store;
 pub use stream::{CodecReader, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
 
@@ -63,7 +63,7 @@ pub use stream::{CodecReader, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE
 ///
 /// The streaming entry points [`Codec::compress_into`] /
 /// [`Codec::decompress_into`] write into a caller-provided scratch buffer
-/// so per-segment pipelines ([`CodecWriter`], [`ReadaheadReader`]) can
+/// so per-segment pipelines ([`CodecWriter`], [`CodecReader`]) can
 /// recycle allocations instead of materializing a fresh `Vec` per segment. They have default adapters over the one-shot
 /// methods, so external implementations keep working unchanged; the
 /// built-in codecs implement them natively (and implement the one-shot

@@ -1,6 +1,6 @@
-//! The codec-stream writer and the readahead reader: [`CodecWriter`]
-//! frames segments inline or as engine tasks, [`ReadaheadReader`] decodes
-//! them ahead of the consumer — one stream format either way.
+//! The codec-stream writer: [`CodecWriter`] frames segments inline or as
+//! engine tasks — one stream format either way — and lends its engine
+//! attachment to the reader's readahead window.
 //!
 //! A [`CodecWriter`] buffers raw bytes up to a segment size, compresses
 //! each segment, and frames it as `varint(compressed_len) ++ compressed
@@ -20,12 +20,13 @@
 //! → engine task → reassembly → back to the producer), so the steady
 //! state performs no per-segment allocation on either side.
 //!
-//! [`ReadaheadReader`] mirrors the writer on the consume side: a feeder
-//! thread frames packed segments off the input and submits each one to
-//! the engine the moment it is read (an in-flight gate bounds readahead
-//! depth); tasks decode independently, and an ordered reassembly map on
-//! the consumer side delivers decompressed segments strictly in stream
-//! order.
+//! [`CodecReader`](crate::CodecReader) mirrors the writer on the consume
+//! side, and like it the calling thread drives: a refill frames the next
+//! packed segments off the input and submits their decodes until one
+//! window (`threads × `[`IN_FLIGHT_PER_WORKER`]) is undelivered, then
+//! takes the next segment in stream order out of an ordered reassembly
+//! map. Workers only decode; nothing is read ahead unless the consumer
+//! asks for more, so a stalled consumer holds at most one window.
 //!
 //! Neither adapter owns threads. By default they share the process-wide
 //! engine ([`Engine::global_with`], grown to the requested `threads`);
@@ -47,27 +48,28 @@
 //! w.write_all(b"stream me from four workers")?;
 //! let file = w.finish()?;
 //!
-//! // The inline reader decodes the engine-backed writer's output.
-//! let mut r = CodecReader::new(&file[..], codec);
-//! let mut back = String::new();
-//! r.read_to_string(&mut back)?;
-//! assert_eq!(back, "stream me from four workers");
+//! // The inline reader and the engine-backed one decode the same bytes.
+//! for mut r in [
+//!     CodecReader::new(&file[..], Arc::clone(&codec)),
+//!     CodecReader::with_threads(&file[..], Arc::clone(&codec), 4),
+//! ] {
+//!     let mut back = String::new();
+//!     r.read_to_string(&mut back)?;
+//!     assert_eq!(back, "stream me from four workers");
+//! }
 //! # Ok(())
 //! # }
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
-use atc_engine::Engine;
+use atc_engine::{panic_message, Engine};
 
-use crate::error::CodecError;
-use crate::stream::{read_segment, SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
+use crate::stream::{SegmentRecord, StreamScratch, DEFAULT_SEGMENT_SIZE};
 use crate::varint;
 use crate::Codec;
 
@@ -164,8 +166,6 @@ impl ByteBudget {
     }
 }
 
-use atc_engine::panic_message;
-
 /// Scratch-buffer accounting for a [`CodecWriter`] (see
 /// [`CodecWriter::scratch_stats`]).
 ///
@@ -239,23 +239,23 @@ pub struct CodecWriter<W: Write> {
     raw_lens: BTreeMap<u64, u64>,
 }
 
-/// The writer's engine attachment: where tasks go and where results come
-/// back.
+/// One stream's engine attachment, writer or reader: where its tasks go
+/// and where their results come back.
 #[derive(Debug)]
-struct Pool {
-    engine: Engine,
-    /// Home worker for this writer's tasks (idle workers steal from it).
-    home: usize,
+pub(crate) struct Pool {
+    pub(crate) engine: Engine,
+    /// Home worker for this stream's tasks (idle workers steal from it).
+    pub(crate) home: usize,
     /// Configured parallelism: bounds the in-flight window.
-    threads: usize,
-    /// `(seq, raw buffer back for recycling, compressed segment or task
-    /// failure)`.
-    results: Receiver<(u64, Vec<u8>, io::Result<Vec<u8>>)>,
-    tx: Sender<(u64, Vec<u8>, io::Result<Vec<u8>>)>,
+    pub(crate) threads: usize,
+    /// `(seq, the task's input buffer back for recycling, its output
+    /// segment or failure)`.
+    pub(crate) results: Receiver<(u64, Vec<u8>, io::Result<Vec<u8>>)>,
+    pub(crate) tx: Sender<(u64, Vec<u8>, io::Result<Vec<u8>>)>,
 }
 
 impl Pool {
-    fn attach(engine: Engine, threads: usize) -> Self {
+    pub(crate) fn attach(engine: Engine, threads: usize) -> Self {
         let (tx, results) = mpsc::channel();
         let home = engine.assign_home();
         Self {
@@ -744,444 +744,11 @@ impl<W: Write> Write for CodecWriter<W> {
     }
 }
 
-/// A shared free list of segment buffers.
-///
-/// Readahead buffers cycle consumer → pool → task → consumer (and
-/// packed buffers feeder → task → pool → feeder). `cap` bounds how many
-/// idle buffers are retained; beyond it, returned buffers are simply
-/// dropped so a burst never pins memory forever.
-#[derive(Debug)]
-struct BufPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-    cap: usize,
-}
-
-impl BufPool {
-    fn new(cap: usize) -> Self {
-        Self {
-            bufs: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    fn get(&self) -> Vec<u8> {
-        // A poisoner can only have been mid `push`/`pop` on the Vec,
-        // which never leaves it torn — recycle through the poison
-        // rather than cascading the panic into every other reader.
-        self.bufs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        let mut bufs = self.bufs.lock().unwrap_or_else(|e| e.into_inner());
-        if bufs.len() < self.cap {
-            bufs.push(buf);
-        }
-    }
-}
-
-/// Counting gate bounding the feeder's undelivered segments.
-///
-/// The engine's submit never blocks and the result channel is
-/// unbounded, so readahead depth (and therefore memory) is bounded
-/// here instead: the feeder `acquire`s one slot per message it will
-/// produce (decode task or error), and the slot is `release`d only when
-/// the **consumer** receives that message — so a consumer that stops
-/// reading stalls the feeder after `cap` undelivered segments, exactly
-/// like the old bounded channel, while engine workers never block.
-/// `cancel` wakes a blocked feeder so it can observe the dead flag when
-/// the consumer goes away with slots still held.
-#[derive(Debug)]
-struct Gate {
-    count: Mutex<usize>,
-    freed: Condvar,
-    cap: usize,
-}
-
-impl Gate {
-    fn new(cap: usize) -> Self {
-        Self {
-            count: Mutex::new(0),
-            freed: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Blocks until a slot is free; returns `false` (no slot taken) if
-    /// `dead` is set while waiting.
-    fn acquire(&self, dead: &AtomicBool) -> bool {
-        let mut n = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            // ordering: Relaxed — `dead` is a monotonic poll flag; the
-            // `count` mutex (held across this check) plus `cancel`'s
-            // locked notify already order the store against this load,
-            // so the atomic needs no ordering of its own.
-            if dead.load(Ordering::Relaxed) {
-                return false;
-            }
-            if *n < self.cap {
-                *n += 1;
-                return true;
-            }
-            n = self.freed.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn release(&self) {
-        let mut n = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        *n -= 1;
-        drop(n);
-        // lock-held: not required — the count was decremented under the
-        // `count` mutex above, so a blocked `acquire` either already
-        // waits (and gets this notify) or re-checks `*n < cap` under the
-        // lock and sees the free slot without needing it.
-        self.freed.notify_one();
-    }
-
-    /// Wakes any blocked `acquire` so it can re-check the dead flag.
-    fn cancel(&self) {
-        // lock-held: notify under the count lock — the feeder holds it
-        // from its dead check until `wait` releases it, so acquiring
-        // here means the feeder is either before the check (and will
-        // see dead) or already waiting (and gets this wakeup); a bare
-        // notify could land in that window and be lost, hanging
-        // shutdown's join.
-        let n = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        self.freed.notify_all();
-        drop(n);
-    }
-}
-
-/// A `Read` adapter that decompresses a codec stream through the shared
-/// engine, free-running ahead of the consumer.
-///
-/// Consumes the exact stream format of [`CodecWriter`]. A feeder thread
-/// frames packed segments off the input and submits each to the engine
-/// the moment it is read; an in-flight gate bounds readahead
-/// depth, and there is no batch-of-`threads` barrier, so one slow segment
-/// never idles the other workers. Results flow to the consumer through a
-/// channel and an ordered reassembly map keyed by sequence number, so
-/// `read` always sees segments in exact stream order. Segment buffers
-/// cycle back to the tasks once consumed.
-///
-/// Also implements [`BufRead`]: [`BufRead::fill_buf`] hands out the
-/// unconsumed tail of the current decoded segment straight from the
-/// reassembly buffer, so frame-granular consumers (the container layer's
-/// `next_frame`) can parse decoded bytes in place without the `Read::read`
-/// copy into their own buffer.
-#[derive(Debug)]
-pub struct ReadaheadReader {
-    rx: Option<Receiver<(u64, io::Result<Vec<u8>>)>>,
-    feeder: Option<JoinHandle<()>>,
-    /// Decompressed segments that arrived ahead of their turn.
-    pending: BTreeMap<u64, io::Result<Vec<u8>>>,
-    /// Sequence number of the next segment to hand to the consumer.
-    next_seq: u64,
-    current: Vec<u8>,
-    pos: usize,
-    /// First error seen, replayed on every subsequent read (matching the
-    /// inline `CodecReader`, which keeps erroring rather than turning a
-    /// poisoned stream into a clean EOF). A mid-stream CRC failure
-    /// therefore fails *all* reads after the error point, forever.
-    error: Option<(io::ErrorKind, String)>,
-    /// Consumed segment buffers, recycled back to the decode tasks.
-    out_pool: Arc<BufPool>,
-    /// One slot per undelivered message (see [`Gate`]); released as the
-    /// consumer receives each message.
-    gate: Arc<Gate>,
-    /// Tells the feeder (and its gate waits) that the consumer is gone.
-    dead: Arc<AtomicBool>,
-}
-
-impl ReadaheadReader {
-    /// Spawns the readahead pipeline over a terminated codec stream on
-    /// the process-wide engine (grown to at least `threads` workers).
-    ///
-    /// `threads` is the decompression parallelism: it bounds the window
-    /// of segments decoded ahead of the consumer (`0` is treated as `1`).
-    pub fn new<R: Read + Send + 'static>(inner: R, codec: Arc<dyn Codec>, threads: usize) -> Self {
-        Self::with_engine(inner, codec, threads, Engine::global_with(threads))
-    }
-
-    /// Like [`ReadaheadReader::new`], but submits decode tasks to an
-    /// explicit `engine` (the injection point for tests and multi-stream
-    /// containers).
-    pub fn with_engine<R: Read + Send + 'static>(
-        inner: R,
-        codec: Arc<dyn Codec>,
-        threads: usize,
-        engine: Engine,
-    ) -> Self {
-        let threads = threads.max(1);
-        let window = threads * IN_FLIGHT_PER_WORKER;
-        let (tx, rx) = mpsc::channel();
-        let out_pool = Arc::new(BufPool::new(window + 2));
-        let gate = Arc::new(Gate::new(window));
-        // Flipped by a task (or shutdown) when the consumer is gone; the
-        // feeder polls it and stops reading ahead.
-        let dead = Arc::new(AtomicBool::new(false));
-        let feeder = {
-            let out_pool = Arc::clone(&out_pool);
-            let gate = Arc::clone(&gate);
-            let dead = Arc::clone(&dead);
-            std::thread::Builder::new()
-                .name("atc-codec-readahead".into())
-                .spawn(move || feed(inner, codec, threads, engine, tx, out_pool, gate, dead))
-                // atclint: allow(library-unwrap) -- OS thread-spawn failure
-                // at reader construction has no fallback; the infallible
-                // constructor signature is part of the public API.
-                .expect("spawn readahead thread")
-        };
-        Self {
-            rx: Some(rx),
-            feeder: Some(feeder),
-            pending: BTreeMap::new(),
-            next_seq: 0,
-            current: Vec::new(),
-            pos: 0,
-            error: None,
-            out_pool,
-            gate,
-            dead,
-        }
-    }
-
-    fn latch(&mut self, e: &io::Error) {
-        self.error = Some((e.kind(), e.to_string()));
-        self.shutdown();
-    }
-
-    fn refill(&mut self) -> io::Result<bool> {
-        if let Some((kind, msg)) = &self.error {
-            return Err(io::Error::new(*kind, msg.clone()));
-        }
-        loop {
-            // Deliver strictly in order: only the segment numbered
-            // `next_seq` may leave the reassembly map.
-            if let Some(result) = self.pending.remove(&self.next_seq) {
-                self.next_seq += 1;
-                match result {
-                    Ok(segment) => {
-                        debug_assert!(!segment.is_empty());
-                        let consumed = std::mem::replace(&mut self.current, segment);
-                        self.out_pool.put(consumed);
-                        self.pos = 0;
-                        return Ok(true);
-                    }
-                    Err(e) => {
-                        self.latch(&e);
-                        return Err(e);
-                    }
-                }
-            }
-            let Some(rx) = &self.rx else {
-                return Ok(false);
-            };
-            match rx.recv() {
-                Ok((seq, result)) => {
-                    // The message left the channel: free its readahead
-                    // slot so the feeder may produce the next one.
-                    self.gate.release();
-                    self.pending.insert(seq, result);
-                }
-                Err(_) => {
-                    // All senders gone: every produced result has been
-                    // drained into `pending`. An empty map means the
-                    // feeder finished cleanly after the end-of-stream
-                    // marker; a gap means a decode task was lost.
-                    if self.pending.is_empty() {
-                        self.shutdown();
-                        return Ok(false);
-                    }
-                    let e = io::Error::other("readahead task lost mid-stream");
-                    self.latch(&e);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn shutdown(&mut self) {
-        // Order matters: mark the consumer dead and wake any blocked
-        // gate wait *before* joining the feeder, or a feeder stalled on
-        // a full window (slots held by messages we will never receive)
-        // would never exit.
-        // ordering: Relaxed — `cancel` takes the gate mutex after this
-        // store, and the feeder reads `dead` under that same mutex, so
-        // the lock hand-off publishes the flag; Relaxed suffices.
-        self.dead.store(true, Ordering::Relaxed);
-        self.gate.cancel();
-        self.rx.take();
-        if let Some(feeder) = self.feeder.take() {
-            let _ = feeder.join();
-        }
-        self.pending.clear();
-    }
-}
-
-/// Decompresses one packed segment into a pooled buffer.
-fn decode_segment(codec: &dyn Codec, packed: &[u8], out_pool: &BufPool) -> io::Result<Vec<u8>> {
-    let mut out = out_pool.get();
-    match codec.decompress_into(packed, &mut out) {
-        Ok(_) if out.is_empty() => {
-            // A zero-raw-byte segment is never written; treat as corrupt
-            // (mirrors the inline CodecReader).
-            out_pool.put(out);
-            Err(io::Error::from(CodecError::Corrupt("empty segment".into())))
-        }
-        Ok(_) => Ok(out),
-        Err(e) => {
-            out_pool.put(out);
-            Err(io::Error::from(e))
-        }
-    }
-}
-
-/// Feeder-thread body: frame segments off the input and keep the engine
-/// saturated; ordering is restored on the consumer side. Every message
-/// (result or error) carries one gate slot, released by the consumer —
-/// a consumer that stops reading therefore stalls the feeder after one
-/// window of undelivered segments.
-#[allow(clippy::too_many_arguments)]
-fn feed<R: Read>(
-    mut inner: R,
-    codec: Arc<dyn Codec>,
-    threads: usize,
-    engine: Engine,
-    tx: Sender<(u64, io::Result<Vec<u8>>)>,
-    out_pool: Arc<BufPool>,
-    gate: Arc<Gate>,
-    dead: Arc<AtomicBool>,
-) {
-    let window = threads * IN_FLIGHT_PER_WORKER;
-    let packed_pool = Arc::new(BufPool::new(window + 2));
-    let mut seq = 0u64;
-
-    // Free-running: every frame is submitted the moment it is read; the
-    // gate caps undelivered segments (and therefore memory) without any
-    // per-batch barrier, and without ever blocking an engine worker.
-    let home = engine.assign_home();
-    loop {
-        // ordering: Relaxed — best-effort early exit; missing one store
-        // costs at most one extra readahead frame, and the gate's mutex
-        // in `acquire` gives the authoritative, ordered check below.
-        if dead.load(Ordering::Relaxed) {
-            break;
-        }
-        let mut packed = packed_pool.get();
-        match read_segment(&mut inner, &mut packed) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => {
-                // Tagged with the next unused sequence number, the error
-                // sorts after every submitted segment: the consumer sees
-                // all good data, then the failure — exactly the inline
-                // reader's ordering.
-                if gate.acquire(&dead) {
-                    let _ = tx.send((seq, Err(e)));
-                }
-                break;
-            }
-        }
-        if !gate.acquire(&dead) {
-            break; // consumer gone
-        }
-        let task_tx = tx.clone();
-        let codec = Arc::clone(&codec);
-        let out_pool = Arc::clone(&out_pool);
-        let packed_pool = Arc::clone(&packed_pool);
-        let gate = Arc::clone(&gate);
-        let dead = Arc::clone(&dead);
-        engine.submit(home, move || {
-            // A panicking codec must surface as a latched error, not a
-            // lost segment: catch and convert.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                decode_segment(&*codec, &packed, &out_pool)
-            }));
-            let (result, packed) = match outcome {
-                Ok(r) => (r, Some(packed)),
-                Err(p) => (
-                    Err(io::Error::other(format!(
-                        "decompression task panicked: {}",
-                        panic_message(&*p)
-                    ))),
-                    None,
-                ),
-            };
-            if let Some(packed) = packed {
-                packed_pool.put(packed);
-            }
-            if task_tx.send((seq, result)).is_err() {
-                // Consumer is gone: tell the feeder (dead first, so the
-                // release's wakeup observes it) and hand the slot back,
-                // since no consumer will.
-                // ordering: Relaxed — `release` takes the gate mutex
-                // after this store and the feeder re-checks `dead` under
-                // that mutex, so the lock publishes the flag.
-                dead.store(true, Ordering::Relaxed);
-                gate.release();
-            }
-        });
-        seq += 1;
-    }
-    // Dropping the feeder's sender leaves only the in-flight tasks'
-    // clones; once they finish, the consumer observes the disconnect with
-    // every produced result already delivered, so no segment is ever
-    // silently lost.
-}
-
-impl Read for ReadaheadReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        while self.pos == self.current.len() {
-            if !self.refill()? {
-                return Ok(0);
-            }
-        }
-        let n = (self.current.len() - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.current[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl BufRead for ReadaheadReader {
-    /// Returns the unconsumed tail of the current decoded segment,
-    /// refilling from the reorder pipeline if it is exhausted. An empty
-    /// slice means clean end of stream. Errors latch exactly like `read`.
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        while self.pos == self.current.len() {
-            if !self.refill()? {
-                return Ok(&[]);
-            }
-        }
-        Ok(&self.current[self.pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.current.len());
-    }
-}
-
-impl Drop for ReadaheadReader {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bzip, CodecReader, CodecWriter, Lz, Store};
+    use crate::{Bzip, CodecError, CodecReader, CodecWriter, Lz, Store};
+    use std::io::{BufRead, Read};
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
@@ -1288,7 +855,7 @@ mod tests {
         w.write_all(&data).unwrap();
         let file = w.finish().unwrap();
         for threads in test_threads() {
-            let mut r = ReadaheadReader::new(
+            let mut r = CodecReader::with_threads(
                 std::io::Cursor::new(file.clone()),
                 Arc::clone(&codec),
                 threads,
@@ -1302,8 +869,10 @@ mod tests {
     #[test]
     fn readahead_many_small_segments_stay_ordered() {
         // Far more segments than any in-flight window: exercises the
-        // reorder map under sustained free-running load, including with
-        // fewer engine workers than the requested parallelism.
+        // reorder map under sustained load, including with fewer engine
+        // workers than the requested parallelism. The input is a borrow
+        // of a local — it compiles only because no task or thread ever
+        // holds `R`.
         let data = sample(64_000);
         let codec: Arc<dyn Codec> = Arc::new(Store);
         let mut w = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 64);
@@ -1311,16 +880,40 @@ mod tests {
         let file = w.finish().unwrap();
         for (threads, workers) in [(2usize, 2usize), (4, 1), (8, 3)] {
             let engine = Engine::new(workers);
-            let mut r = ReadaheadReader::with_engine(
-                std::io::Cursor::new(file.clone()),
-                Arc::clone(&codec),
-                threads,
-                engine,
-            );
+            let mut r = CodecReader::with_engine(&file[..], Arc::clone(&codec), threads, engine);
             let mut back = Vec::new();
             r.read_to_end(&mut back).unwrap();
             assert_eq!(back, data, "threads={threads} workers={workers}");
         }
+    }
+
+    /// The window is bounded by construction: decodes are submitted only
+    /// from a refill, so one byte read costs exactly one window of tasks
+    /// however long the consumer then stalls, and a full read costs one
+    /// task per segment.
+    #[test]
+    fn readahead_window_bounds_submitted_decodes() {
+        let data = sample(40 * 512);
+        let codec: Arc<dyn Codec> = Arc::new(Store);
+        let mut w = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 512);
+        w.write_all(&data).unwrap();
+        let file = w.finish().unwrap(); // 40 segments
+        let engine = Engine::new(2);
+        let window = (2 * IN_FLIGHT_PER_WORKER) as u64;
+        let mut r = CodecReader::with_engine(&file[..], Arc::clone(&codec), 2, engine.clone());
+        assert_eq!(engine.stats().submitted, 0, "nothing runs before a read");
+        let mut byte = [0u8; 1];
+        r.read_exact(&mut byte).unwrap();
+        assert_eq!(engine.stats().submitted, window);
+        while engine.stats().tasks_run < window {
+            std::thread::yield_now();
+        }
+        assert_eq!(engine.stats().tasks_run, window, "stalled consumer");
+        let mut back = byte.to_vec();
+        r.read_to_end(&mut back).unwrap();
+        assert_eq!(back, data);
+        assert_eq!(engine.stats().tasks_run, 40);
+        assert_eq!(r.segments_decoded(), 40);
     }
 
     #[test]
@@ -1328,7 +921,7 @@ mod tests {
         let codec: Arc<dyn Codec> = Arc::new(Store);
         let w = CodecWriter::with_threads(Vec::new(), Arc::clone(&codec), DEFAULT_SEGMENT_SIZE, 4);
         let file = w.finish().unwrap();
-        let mut r = ReadaheadReader::new(std::io::Cursor::new(file), codec, 4);
+        let mut r = CodecReader::with_threads(std::io::Cursor::new(file), codec, 4);
         let mut back = Vec::new();
         r.read_to_end(&mut back).unwrap();
         assert!(back.is_empty());
@@ -1339,7 +932,7 @@ mod tests {
         let mut file = Vec::new();
         varint::write_u64(&mut file, 4).unwrap();
         file.extend_from_slice(b"da"); // segment promises 4, delivers 2
-        let mut r = ReadaheadReader::new(
+        let mut r = CodecReader::with_threads(
             std::io::Cursor::new(file),
             Arc::new(Store) as Arc<dyn Codec>,
             2,
@@ -1352,11 +945,11 @@ mod tests {
         assert!(r.read(&mut byte).is_err());
 
         // A forged 2^62 length is the same truncation, not an allocation
-        // of the claimed size on the feeder thread.
+        // of the claimed size.
         let mut file = Vec::new();
         varint::write_u64(&mut file, 1 << 62).unwrap();
         file.extend_from_slice(b"da");
-        let mut r = ReadaheadReader::new(
+        let mut r = CodecReader::with_threads(
             std::io::Cursor::new(file),
             Arc::new(Store) as Arc<dyn Codec>,
             2,
@@ -1396,7 +989,7 @@ mod tests {
         corrupted[offset + len - 8] ^= 0x40;
 
         for threads in [1usize, 2, 4, 8] {
-            let mut r = ReadaheadReader::new(
+            let mut r = CodecReader::with_threads(
                 std::io::Cursor::new(corrupted.clone()),
                 Arc::clone(&codec),
                 threads,
@@ -1487,7 +1080,7 @@ mod tests {
         let trip: Arc<dyn Codec> = Arc::new(PanicCodec { marker: 0xEE });
         for workers in [1usize, 2] {
             let engine = Engine::new(workers);
-            let mut r = ReadaheadReader::with_engine(
+            let mut r = CodecReader::with_engine(
                 std::io::Cursor::new(file.clone()),
                 Arc::clone(&trip),
                 4,
@@ -1513,7 +1106,7 @@ mod tests {
         w.write_all(&data).unwrap();
         let file = w.finish().unwrap();
         for threads in [1usize, 4] {
-            let mut r = ReadaheadReader::new(
+            let mut r = CodecReader::with_threads(
                 std::io::Cursor::new(file.clone()),
                 Arc::clone(&codec),
                 threads,
@@ -1535,7 +1128,7 @@ mod tests {
         let mut truncated = Vec::new();
         varint::write_u64(&mut truncated, 4).unwrap();
         truncated.extend_from_slice(b"da");
-        let mut r = ReadaheadReader::new(
+        let mut r = CodecReader::with_threads(
             std::io::Cursor::new(truncated),
             Arc::new(Store) as Arc<dyn Codec>,
             2,
@@ -1548,10 +1141,9 @@ mod tests {
     /// of 0 or 1 must never construct a zero-width in-flight window
     /// (`threads * IN_FLIGHT_PER_WORKER == 0` would make the
     /// backpressure loop wait for a result that was never submitted).
-    /// The writer must run inline, the reader must clamp its window to
-    /// one thread's worth, and both must terminate with the inline
-    /// stream's bytes — through every constructor, including the ones
-    /// handed an explicit engine.
+    /// Writer and reader must both run inline — no task ever reaches
+    /// even an explicitly injected engine — and terminate with the inline
+    /// stream's bytes, through every constructor.
     #[test]
     fn threads_zero_and_one_run_inline_without_deadlock() {
         let data = sample(40_000);
@@ -1567,17 +1159,18 @@ mod tests {
             assert_eq!(w.finish().unwrap(), expect, "threads={threads}");
 
             // An explicit engine must not resurrect a zero-width window.
+            let engine = Engine::new(2);
             let mut w = CodecWriter::with_engine(
                 Vec::new(),
                 Arc::clone(&codec),
                 3000,
                 threads,
-                Engine::new(2),
+                engine.clone(),
             );
             w.write_all(&data).unwrap();
             assert_eq!(w.finish().unwrap(), expect, "engine threads={threads}");
 
-            let mut r = ReadaheadReader::new(
+            let mut r = CodecReader::with_threads(
                 std::io::Cursor::new(expect.clone()),
                 Arc::clone(&codec),
                 threads,
@@ -1586,15 +1179,16 @@ mod tests {
             r.read_to_end(&mut back).unwrap();
             assert_eq!(back, data, "reader threads={threads}");
 
-            let mut r = ReadaheadReader::with_engine(
+            let mut r = CodecReader::with_engine(
                 std::io::Cursor::new(expect.clone()),
                 Arc::clone(&codec),
                 threads,
-                Engine::new(2),
+                engine.clone(),
             );
             let mut back = Vec::new();
             r.read_to_end(&mut back).unwrap();
             assert_eq!(back, data, "engine reader threads={threads}");
+            assert_eq!(engine.stats().submitted, 0, "threads={threads} is inline");
         }
     }
 
@@ -1653,10 +1247,9 @@ mod tests {
         drop(w); // must not hang or leak threads
     }
 
-    /// The readahead window is consumer-released: with nobody reading,
-    /// the feeder must stall after one window of undelivered segments
-    /// (bounding memory), and dropping the reader must cancel that
-    /// stalled gate wait instead of hanging the join.
+    /// Dropping a reader whose window is full of undelivered segments
+    /// (one read filled it, nobody took the rest) must not hang: the
+    /// tasks finish into a closed channel.
     #[test]
     fn drop_unread_readahead_with_full_window_does_not_hang() {
         let data = sample(300_000);
@@ -1665,32 +1258,39 @@ mod tests {
         w.write_all(&data).unwrap();
         let file = w.finish().unwrap(); // ~300 segments >> any window
         for threads in [1usize, 4] {
-            let r = ReadaheadReader::new(
+            let mut r = CodecReader::with_threads(
                 std::io::Cursor::new(file.clone()),
                 Arc::clone(&codec),
                 threads,
             );
-            // Give the feeder time to fill the window and block.
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            let mut byte = [0u8; 1];
+            r.read_exact(&mut byte).unwrap();
             drop(r); // must not hang
         }
     }
 
     #[test]
     fn drop_readahead_mid_stream_reaps_threads() {
-        // Consumer walks away after one segment; feeder + in-flight tasks
-        // must wind down promptly instead of decoding the rest of the
-        // stream.
+        // Consumer walks away after one segment: at most the one window
+        // already submitted still decodes, never the rest of the stream,
+        // and the engine it ran on serves a fresh reader to completion.
         let data = sample(400_000);
         let codec: Arc<dyn Codec> = Arc::new(Bzip::with_block_size(2048));
         let mut w = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 4096);
         w.write_all(&data).unwrap();
         let file = w.finish().unwrap();
-        let mut r = ReadaheadReader::new(std::io::Cursor::new(file), codec, 4);
+        let engine = Engine::new(2);
+        let mut r = CodecReader::with_engine(&file[..], Arc::clone(&codec), 4, engine.clone());
         let mut first = vec![0u8; 1000];
         r.read_exact(&mut first).unwrap();
         assert_eq!(first, data[..1000]);
         drop(r); // must not hang
+        assert_eq!(engine.stats().submitted, (4 * IN_FLIGHT_PER_WORKER) as u64);
+
+        let mut r = CodecReader::with_engine(&file[..], codec, 4, engine);
+        let mut back = Vec::new();
+        r.read_to_end(&mut back).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The codec-stream format's shared pieces and its inline reader.
+//! The codec-stream format's shared pieces and its reader.
 //!
 //! The ATC compressor streams addresses one at a time, so it needs
 //! `std::io::Write`/`Read` front ends over the block codecs. A
 //! [`CodecWriter`] buffers raw bytes up to a segment size, compresses each
 //! segment, and frames it as `varint(compressed_len) ++ compressed bytes`; a
 //! zero-length varint terminates the stream, allowing multiple logical
-//! streams to share one file. [`CodecReader`] mirrors this on the calling
-//! thread; [`ReadaheadReader`](crate::ReadaheadReader) does the same ahead
-//! of the consumer.
+//! streams to share one file. [`CodecReader`] mirrors this, decoding on
+//! the calling thread or — given `threads > 1` — ahead of it as engine
+//! tasks.
 //!
 //! Adapters hold the codec behind an [`Arc`], so long-lived containers (the
 //! ATC directory writer, the TCgen baseline) can share one codec across
@@ -37,10 +37,15 @@
 //!
 //! [`CodecWriter`]: crate::CodecWriter
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use atc_engine::{panic_message, Engine};
+
 use crate::error::CodecError;
+use crate::parallel::{Pool, IN_FLIGHT_PER_WORKER};
 use crate::varint;
 use crate::Codec;
 
@@ -118,12 +123,40 @@ pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::
     Ok(seg_len > 0)
 }
 
+/// Decompresses one packed segment into `out`, refusing the zero-raw-byte
+/// segment no writer produces. `out` is left empty on error, so a reader
+/// that decodes into its live buffer never exposes a corrupt segment's
+/// partial output.
+fn decode_segment(codec: &dyn Codec, packed: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
+    if let Err(e) = codec.decompress_into(packed, out) {
+        out.clear();
+        return Err(io::Error::from(e));
+    }
+    if out.is_empty() {
+        return Err(io::Error::from(CodecError::Corrupt("empty segment".into())));
+    }
+    Ok(())
+}
+
 /// A `Read` adapter that decompresses a [`CodecWriter`](crate::CodecWriter)
-/// stream on the calling thread.
+/// stream, on the calling thread or ahead of it on the shared engine.
 ///
-/// The packed-segment buffer and the decompressed-segment buffer are both
-/// reused across segments ([`Codec::decompress_into`]), so steady-state
-/// reads perform no per-segment allocation.
+/// Built with [`CodecReader::new`] (or any constructor given
+/// `threads <= 1`) every segment is read and decoded on the calling
+/// thread, into one reused buffer, when the previous one is used up.
+/// `threads > 1` attaches a readahead window that the *consumer* drives:
+/// each refill frames further packed segments off the input and submits
+/// their decodes as engine tasks until `threads × `[`IN_FLIGHT_PER_WORKER`]
+/// segments are undelivered, then takes the next segment in stream order
+/// out of an ordered reassembly map. Nothing is submitted except from a
+/// refill, so a consumer that stops reading holds at most one window of
+/// segments, and no thread but the caller's ever touches `R`.
+///
+/// The first error — framing, CRC, a panicking decode task — is delivered
+/// after all good data before it and then latches: every later `read` /
+/// `fill_buf` fails with it rather than decaying into a clean EOF.
+/// Packed and decoded buffers are reused across segments in both modes,
+/// so steady-state reads perform no per-segment allocation.
 ///
 /// Also implements [`BufRead`]: [`BufRead::fill_buf`] hands out the
 /// not-yet-consumed tail of the *decoded segment buffer itself*, so
@@ -133,16 +166,108 @@ pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::
 pub struct CodecReader<R: Read> {
     inner: R,
     codec: Arc<dyn Codec>,
+    /// The inline mode's packed-segment scratch.
     packed: Vec<u8>,
     current: Vec<u8>,
     pos: usize,
+    /// Nothing more will be framed off `inner`: the end-of-stream marker
+    /// (or a framing error) was read.
     finished: bool,
     segments_decoded: u64,
+    /// First error seen, replayed on every subsequent read.
+    error: Option<(io::ErrorKind, String)>,
+    window: Option<Window>,
+}
+
+/// The readahead state of an engine-backed [`CodecReader`].
+#[derive(Debug)]
+struct Window {
+    pool: Pool,
+    /// Decoded segments (or failures) that arrived ahead of their turn.
+    pending: BTreeMap<u64, io::Result<Vec<u8>>>,
+    /// Sequence number of the next segment to submit.
+    next_submit: u64,
+    /// Sequence number of the next segment to hand to the consumer.
+    next_seq: u64,
+    /// Packed buffers returned by finished tasks, for the next frames.
+    packed_pool: Vec<Vec<u8>>,
+    /// Decoded buffers the consumer is done with, for the next tasks.
+    out_pool: Vec<Vec<u8>>,
+}
+
+impl Window {
+    /// Submits the decode of `packed` as the next segment in sequence.
+    fn submit(&mut self, packed: Vec<u8>, codec: &Arc<dyn Codec>) {
+        let seq = self.next_submit;
+        self.next_submit += 1;
+        let mut out = self.out_pool.pop().unwrap_or_default();
+        let codec = Arc::clone(codec);
+        let tx = self.pool.tx.clone();
+        self.pool.engine.submit(self.pool.home, move || {
+            // A panicking codec must surface as a latched error, not a
+            // segment the consumer waits for forever: catch and convert.
+            let decoded = catch_unwind(AssertUnwindSafe(|| {
+                decode_segment(&*codec, &packed, &mut out)
+            }));
+            let result = match decoded {
+                Ok(r) => r.map(|()| out),
+                Err(p) => Err(io::Error::other(format!(
+                    "decompression task panicked: {}",
+                    panic_message(&*p)
+                ))),
+            };
+            // The reader may already be dropped, its window with it.
+            let _ = tx.send((seq, packed, result));
+        });
+    }
+
+    /// Blocks until segment `next_seq` has arrived and takes it: only
+    /// that segment may leave the reassembly map.
+    fn take_next(&mut self) -> io::Result<Vec<u8>> {
+        let result = loop {
+            if let Some(result) = self.pending.remove(&self.next_seq) {
+                break result;
+            }
+            match self.pool.results.recv() {
+                Ok((seq, packed, result)) => {
+                    self.packed_pool.push(packed);
+                    self.pending.insert(seq, result);
+                }
+                // The window holds its own Sender, so this is
+                // unreachable; keep the guard anyway.
+                Err(_) => break Err(io::Error::other("decode result channel closed")),
+            }
+        };
+        self.next_seq += 1;
+        result
+    }
 }
 
 impl<R: Read> CodecReader<R> {
-    /// Creates a reader over a terminated codec stream.
+    /// Creates an inline reader over a terminated codec stream: no
+    /// engine, channel or task is involved.
     pub fn new(inner: R, codec: Arc<dyn Codec>) -> Self {
+        Self::build(inner, codec, None)
+    }
+
+    /// Creates a reader decoding up to `threads` segments at a time ahead
+    /// of the consumer on the process-wide engine (grown to at least
+    /// `threads` workers; `0`/`1` = inline).
+    pub fn with_threads(inner: R, codec: Arc<dyn Codec>, threads: usize) -> Self {
+        let pool = (threads > 1).then(|| Pool::attach(Engine::global_with(threads), threads));
+        Self::build(inner, codec, pool)
+    }
+
+    /// Like [`CodecReader::with_threads`], but submitting the decode
+    /// tasks to an explicit `engine` (the injection point for tests and
+    /// multi-stream containers; `threads` only bounds this reader's
+    /// window, and `0`/`1` still means inline).
+    pub fn with_engine(inner: R, codec: Arc<dyn Codec>, threads: usize, engine: Engine) -> Self {
+        let pool = (threads > 1).then(|| Pool::attach(engine, threads));
+        Self::build(inner, codec, pool)
+    }
+
+    fn build(inner: R, codec: Arc<dyn Codec>, pool: Option<Pool>) -> Self {
         Self {
             inner,
             codec,
@@ -151,6 +276,15 @@ impl<R: Read> CodecReader<R> {
             pos: 0,
             finished: false,
             segments_decoded: 0,
+            error: None,
+            window: pool.map(|pool| Window {
+                pool,
+                pending: BTreeMap::new(),
+                next_submit: 0,
+                next_seq: 0,
+                packed_pool: Vec::new(),
+                out_pool: Vec::new(),
+            }),
         }
     }
 
@@ -160,36 +294,66 @@ impl<R: Read> CodecReader<R> {
         self.inner
     }
 
-    /// Number of segments decompressed so far — the work counter a seek
-    /// implementation uses to prove it skipped the prefix instead of
-    /// decoding through it.
+    /// Number of segments decompressed and delivered so far — the work
+    /// counter a seek implementation uses to prove it skipped the prefix
+    /// instead of decoding through it.
     pub fn segments_decoded(&self) -> u64 {
         self.segments_decoded
     }
 
+    /// Makes the next segment current; `Ok(false)` at clean end of
+    /// stream. The first error latches.
     fn refill(&mut self) -> io::Result<bool> {
-        if self.finished {
+        if let Some((kind, msg)) = &self.error {
+            return Err(io::Error::new(*kind, msg.clone()));
+        }
+        let result = self.next_segment();
+        match &result {
+            Ok(true) => self.segments_decoded += 1,
+            Ok(false) => {}
+            Err(e) => self.error = Some((e.kind(), e.to_string())),
+        }
+        result
+    }
+
+    fn next_segment(&mut self) -> io::Result<bool> {
+        let Some(window) = &mut self.window else {
+            if self.finished || !read_segment(&mut self.inner, &mut self.packed)? {
+                self.finished = true;
+                return Ok(false);
+            }
+            // Reset the consumer view *before* decoding into the live
+            // buffer: a decode error empties `current`, and a stale `pos`
+            // past its end would make the next `fill_buf` slice panic.
+            self.pos = 0;
+            decode_segment(&*self.codec, &self.packed, &mut self.current)?;
+            return Ok(true);
+        };
+        // Top the window up before waiting on it, so the workers are
+        // busy while this thread blocks for its segment.
+        let cap = (window.pool.threads * IN_FLIGHT_PER_WORKER) as u64;
+        while !self.finished && window.next_submit - window.next_seq < cap {
+            let mut packed = window.packed_pool.pop().unwrap_or_default();
+            match read_segment(&mut self.inner, &mut packed) {
+                Ok(true) => window.submit(packed, &self.codec),
+                Ok(false) => self.finished = true,
+                Err(e) => {
+                    // Filed under the next unused sequence number, the
+                    // error sorts after every submitted segment: the
+                    // consumer sees all good data, then the failure —
+                    // exactly the inline ordering.
+                    window.pending.insert(window.next_submit, Err(e));
+                    window.next_submit += 1;
+                    self.finished = true;
+                }
+            }
+        }
+        if window.next_seq == window.next_submit {
             return Ok(false);
         }
-        if !read_segment(&mut self.inner, &mut self.packed)? {
-            self.finished = true;
-            return Ok(false);
-        }
-        // Reset the consumer view *before* decoding: decompress_into
-        // reuses `current`, so a decode error must never leave a stale
-        // `pos` pointing into partial output (a retried `read` would
-        // panic or hand out bytes of the corrupt segment).
+        let consumed = std::mem::replace(&mut self.current, window.take_next()?);
+        window.out_pool.push(consumed);
         self.pos = 0;
-        self.current.clear();
-        if let Err(e) = self.codec.decompress_into(&self.packed, &mut self.current) {
-            self.current.clear();
-            return Err(io::Error::from(e));
-        }
-        if self.current.is_empty() {
-            // A zero-raw-byte segment is never written; treat as corrupt.
-            return Err(io::Error::from(CodecError::Corrupt("empty segment".into())));
-        }
-        self.segments_decoded += 1;
         Ok(true)
     }
 }
@@ -199,22 +363,18 @@ impl<R: Read> Read for CodecReader<R> {
         if buf.is_empty() {
             return Ok(0);
         }
-        while self.pos == self.current.len() {
-            if !self.refill()? {
-                return Ok(0);
-            }
-        }
-        let n = (self.current.len() - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.current[self.pos..self.pos + n]);
+        let avail = self.fill_buf()?;
+        let n = avail.len().min(buf.len());
+        buf[..n].copy_from_slice(&avail[..n]);
         self.pos += n;
         Ok(n)
     }
 }
 
 impl<R: Read> BufRead for CodecReader<R> {
-    /// Returns the unconsumed tail of the current decoded segment,
-    /// refilling (and decompressing the next segment) if it is exhausted.
-    /// An empty slice means clean end of stream.
+    /// Returns the unconsumed tail of the current decoded segment, making
+    /// the next segment current if it is exhausted. An empty slice means
+    /// clean end of stream. Errors latch exactly like `read`.
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
         while self.pos == self.current.len() {
             if !self.refill()? {
@@ -460,12 +620,16 @@ mod tests {
         let mut w = CodecWriter::with_segment_size(Vec::new(), Arc::clone(&codec), 1000);
         w.write_all(&[3u8; 2500]).unwrap();
         let file = w.finish().unwrap();
-        let mut r = CodecReader::new(&file[..], codec);
-        assert_eq!(r.segments_decoded(), 0);
-        let mut back = Vec::new();
-        r.read_to_end(&mut back).unwrap();
-        assert_eq!(back.len(), 2500);
-        assert_eq!(r.segments_decoded(), 3);
+        for mut r in [
+            CodecReader::new(&file[..], Arc::clone(&codec)),
+            CodecReader::with_engine(&file[..], Arc::clone(&codec), 2, Engine::new(2)),
+        ] {
+            assert_eq!(r.segments_decoded(), 0);
+            let mut back = Vec::new();
+            r.read_to_end(&mut back).unwrap();
+            assert_eq!(back.len(), 2500);
+            assert_eq!(r.segments_decoded(), 3);
+        }
     }
 
     #[test]

@@ -238,10 +238,10 @@ pub struct FrameReadStats {
 /// reused). Returns `Ok(false)` at clean end of stream; on `Ok(true)` the
 /// decoded addresses are in `inverse` (see [`BytesortInverse::finish`]).
 ///
-/// This is the zero-copy path behind `AtcReader::next_frame`: with
-/// [`atc_codec::ReadaheadReader`] as the stream, decoded segments travel
-/// worker → reassembly buffer → bytesort inverse with no intermediate
-/// copy into a caller-owned buffer.
+/// This is the zero-copy path behind `AtcReader::next_frame`: with an
+/// engine-backed [`atc_codec::CodecReader`] as the stream, decoded
+/// segments travel worker → reassembly map → bytesort inverse with no
+/// intermediate copy into a caller-owned buffer.
 ///
 /// # Errors
 ///
@@ -381,11 +381,17 @@ impl Meta {
                 .parse()
                 .map_err(|_| AtcError::Format(format!("meta key {k:?} is not an integer")))
         };
+        // No writer can produce a zero buffer, and frame arithmetic
+        // (seek) divides by it.
+        let buffer = parse_u64("buffer")?;
+        if buffer == 0 {
+            return Err(AtcError::Format("meta records buffer=0".into()));
+        }
         Ok(Meta {
             version: parse_u64("version")? as u32,
             mode: get("mode")?,
             codec: get("codec")?,
-            buffer: parse_u64("buffer")?,
+            buffer,
             interval_len: parse_u64("interval_len")?,
             threshold: get("threshold")?
                 .parse()
@@ -1794,6 +1800,11 @@ mod tests {
     fn meta_missing_key() {
         assert!(Meta::parse("version=1\n").is_err());
         assert!(Meta::parse("not a line\n").is_err());
+        let err = Meta::parse("version=1\nmode=lossless\ncodec=bzip\nbuffer=0\ninterval_len=0\nthreshold=0\ncount=0\nchunks=0\n").unwrap_err();
+        assert!(
+            matches!(&err, AtcError::Format(m) if m.contains("buffer=0")),
+            "{err}"
+        );
     }
 
     #[test]

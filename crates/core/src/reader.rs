@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use atc_cache::{trace_id, SegmentCache};
-use atc_codec::{codec_by_name, varint, Codec, CodecReader, ReadaheadReader, DEFAULT_SEGMENT_SIZE};
+use atc_codec::{codec_by_name, varint, Codec, CodecReader, DEFAULT_SEGMENT_SIZE};
 use atc_engine::Engine;
 
 use crate::bytesort::BytesortInverse;
@@ -28,11 +28,14 @@ pub struct ReadOptions {
     pub chunk_cache: usize,
     /// Decompression parallelism. `0`/`1` decode on the calling thread
     /// (the original behavior); `n > 1` reads payload streams through a
-    /// free-running readahead pipeline: up to `n` framed segments decode
-    /// concurrently as engine tasks (no batch barrier), and an ordered
-    /// reassembly stage hands segments to `decode`/`decode_all` in
-    /// stream order, overlapping decompression with the consumer. Works
-    /// on any trace — the on-disk format does not record thread counts.
+    /// consumer-driven readahead window: whenever `decode`/`decode_all`
+    /// need the next segment, the calling thread first frames further
+    /// segments off the file and submits their decodes as engine tasks
+    /// until `2n` are undelivered (no batch barrier, no extra thread),
+    /// then takes the next one in stream order — so up to `n` segments
+    /// decompress concurrently with the consumer, and a reader nobody
+    /// reads from holds at most one window. Works on any trace — the
+    /// on-disk format does not record thread counts.
     pub threads: usize,
     /// Explicit execution engine for the decode tasks. `None` (the
     /// default) uses the process-wide engine, grown to at least
@@ -60,13 +63,13 @@ impl Default for ReadOptions {
     }
 }
 
-/// A payload stream: decoded inline, through the readahead pipeline, or
+/// A payload stream: read front to back through the one codec-stream
+/// reader (inline, or decoding ahead on the engine), or
 /// segment-at-a-time off the seek sidecar's table (optionally sharing
 /// decoded segments through a [`SegmentCache`]).
 #[derive(Debug)]
 enum SegmentStream {
-    Serial(CodecReader<BufReader<File>>),
-    Readahead(ReadaheadReader),
+    Linear(CodecReader<BufReader<File>>),
     Table(TableSegmentStream),
 }
 
@@ -81,30 +84,20 @@ impl SegmentStream {
         engine: Option<&Engine>,
     ) -> std::io::Result<Self> {
         let file = BufReader::new(File::open(path)?);
-        Ok(if threads > 1 {
-            let reader = match engine {
-                Some(e) => {
-                    ReadaheadReader::with_engine(file, Arc::clone(codec), threads, e.clone())
-                }
-                None => ReadaheadReader::new(file, Arc::clone(codec), threads),
-            };
-            Self::Readahead(reader)
-        } else {
-            Self::Serial(CodecReader::new(file, Arc::clone(codec)))
-        })
+        let codec = Arc::clone(codec);
+        Ok(Self::Linear(match engine {
+            Some(e) => CodecReader::with_engine(file, codec, threads, e.clone()),
+            None => CodecReader::with_threads(file, codec, threads),
+        }))
     }
-}
 
-impl SegmentStream {
-    /// Compressed segments this stream decoded since it was built (i.e.
-    /// since open or the last seek). `None` for the readahead pipeline,
-    /// which does not track per-stream decode counts. Cache *hits* are
-    /// not decodes — a warm [`SegmentCache`] read reports 0.
-    fn segments_decoded(&self) -> Option<u64> {
+    /// Compressed segments this stream decoded and delivered since it was
+    /// built (i.e. since open or the last seek). Cache *hits* are not
+    /// decodes — a warm [`SegmentCache`] read reports 0.
+    fn segments_decoded(&self) -> u64 {
         match self {
-            Self::Serial(r) => Some(r.segments_decoded()),
-            Self::Readahead(_) => None,
-            Self::Table(r) => Some(r.decoded),
+            Self::Linear(r) => r.segments_decoded(),
+            Self::Table(r) => r.decoded,
         }
     }
 }
@@ -112,8 +105,7 @@ impl SegmentStream {
 impl Read for SegmentStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Self::Serial(r) => r.read(buf),
-            Self::Readahead(r) => r.read(buf),
+            Self::Linear(r) => r.read(buf),
             Self::Table(r) => r.read(buf),
         }
     }
@@ -122,16 +114,14 @@ impl Read for SegmentStream {
 impl BufRead for SegmentStream {
     fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
         match self {
-            Self::Serial(r) => r.fill_buf(),
-            Self::Readahead(r) => r.fill_buf(),
+            Self::Linear(r) => r.fill_buf(),
             Self::Table(r) => r.fill_buf(),
         }
     }
 
     fn consume(&mut self, amt: usize) {
         match self {
-            Self::Serial(r) => r.consume(amt),
-            Self::Readahead(r) => r.consume(amt),
+            Self::Linear(r) => r.consume(amt),
             Self::Table(r) => r.consume(amt),
         }
     }
@@ -331,10 +321,10 @@ pub struct AtcReader {
     col_scratch: Vec<u8>,
     frame_stats: FrameReadStats,
     /// First error's message; once set, every later `decode`/`next_frame`
-    /// fails. The serial codec stream does not latch on its own (the
-    /// readahead pipeline does), and after a failed segment the byte
-    /// stream has a hole, so anything "decoded" past it would be garbage
-    /// that happens to parse — fail fast at every thread count instead.
+    /// fails. The codec stream latches its own errors, but a format
+    /// error found above it (a short frame, a count mismatch) leaves the
+    /// byte stream mid-frame, so anything "decoded" past it would be
+    /// garbage that happens to parse — fail fast instead.
     poisoned: Option<String>,
     /// Retained [`ReadOptions`] so [`AtcReader::seek`] can rebuild the
     /// payload stream the way it was opened.
@@ -477,8 +467,8 @@ impl AtcReader {
     ///
     /// This is the one way bytes become addresses: in lossless mode,
     /// columns are fed to the bytesort inverse straight out of the
-    /// stream's decoded segment buffer (the readahead reassembly buffer
-    /// when [`ReadOptions::threads`] > 1) instead of first being copied
+    /// stream's decoded segment buffer (at every
+    /// [`ReadOptions::threads`]) instead of first being copied
     /// through `Read::read` into an owned buffer —
     /// [`AtcReader::frame_stats`] counts borrowed vs copied column bytes.
     /// Lossy intervals are materialized through the chunk cache
@@ -654,8 +644,7 @@ impl AtcReader {
                 self.meta.count
             )));
         }
-        // buffer == 0 is seek_inner's error to report.
-        let buffer = self.meta.buffer.max(1);
+        let buffer = self.meta.buffer;
         self.seek_inner(pos / buffer)?;
         let skip = pos % buffer;
         if skip > 0 {
@@ -675,12 +664,8 @@ impl AtcReader {
                 "seek requires a lossless trace: lossy intervals are not frame-addressable".into(),
             ));
         }
+        // Nonzero: `Meta::parse` refuses buffer=0.
         let buffer = self.meta.buffer;
-        if buffer == 0 {
-            return Err(AtcError::Format(
-                "meta records buffer=0: cannot seek".into(),
-            ));
-        }
         let past_end = || {
             AtcError::Format(format!(
                 "seek target frame {frame_no} is past the end of the trace \
@@ -755,14 +740,15 @@ impl AtcReader {
     }
 
     /// Compressed segments decoded by the current payload stream (since
-    /// open or the last [`AtcReader::seek`]): `None` for lossy traces
-    /// and the readahead pipeline, which do not track it. This is the
-    /// observable behind seek's O(1)-decode promise — after a seek,
-    /// reading one frame costs at most one segment decode (zero when
-    /// the segment cache is warm).
+    /// open or the last [`AtcReader::seek`]) and delivered to this
+    /// reader, at any [`ReadOptions::threads`]: `None` for lossy traces,
+    /// which have no single payload stream. This is the observable
+    /// behind seek's O(1)-decode promise — after a seek, reading one
+    /// frame costs at most one segment decode (zero when the segment
+    /// cache is warm).
     pub fn segments_decoded(&self) -> Option<u64> {
         match &self.state {
-            State::Lossless { stream } => stream.segments_decoded(),
+            State::Lossless { stream } => Some(stream.segments_decoded()),
             State::Lossy { .. } => None,
         }
     }
@@ -865,7 +851,7 @@ struct ChunkCache {
     capacity: usize,
     /// Decompression parallelism for chunk loads (1 = inline).
     threads: usize,
-    /// Engine the chunk-load readahead tasks run on (None = global).
+    /// Engine the chunk-load decode tasks run on (None = global).
     engine: Option<Engine>,
     /// Most recently used last.
     entries: Vec<(u64, Arc<Vec<u64>>)>,
@@ -1508,6 +1494,20 @@ mod tests {
             r.segments_decoded().unwrap() <= 2,
             "target frame spans at most 2 segments"
         );
+
+        // A front-to-back read counts every segment, inline or ahead.
+        for threads in [1usize, 2] {
+            let mut r = AtcReader::open_with(
+                &dir,
+                ReadOptions {
+                    threads,
+                    ..ReadOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(r.decode_all().unwrap(), addrs, "threads={threads}");
+            assert_eq!(r.segments_decoded(), Some(table.len() as u64));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -662,6 +662,15 @@ impl AtcWriter {
         if options.buffer == 0 {
             return Err(AtcError::Format("buffer size must be positive".into()));
         }
+        // Every full frame holds `buffer` addresses: refuse now what
+        // `write_frame` would refuse only after buffering that many.
+        if options.buffer as u64 > format::FRAME_MAX_ADDRS {
+            return Err(AtcError::Format(format!(
+                "buffer size {} exceeds the {} address frame cap",
+                options.buffer,
+                format::FRAME_MAX_ADDRS
+            )));
+        }
         let codec: Arc<dyn Codec> = Arc::from(
             codec_by_name(&options.codec)
                 .ok_or_else(|| AtcError::Format(format!("unknown codec {:?}", options.codec)))?,
@@ -1093,6 +1102,22 @@ mod tests {
             }
         )
         .is_err());
+        let too_big = format::FRAME_MAX_ADDRS as usize + 1;
+        let err = AtcWriter::with_options(
+            &dir,
+            Mode::Lossless,
+            AtcOptions {
+                codec: "store".into(),
+                buffer: too_big,
+                threads: 1,
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, AtcError::Format(m) if m.contains(&too_big.to_string())),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a refused create writes nothing");
         let _ = fs::remove_dir_all(&dir);
     }
 

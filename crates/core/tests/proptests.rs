@@ -141,7 +141,7 @@ proptest! {
 
     #[test]
     fn meta_text_roundtrip(
-        buffer in any::<u64>(),
+        buffer in 1u64..u64::MAX,
         interval in any::<u64>(),
         count in any::<u64>(),
         chunks in any::<u64>(),

@@ -347,16 +347,18 @@ keyword. Suppression: `// atclint: allow(undocumented-unsafe) -- why`.",
     },
     Rule {
         id: "rogue-thread-spawn",
-        summary: "thread::spawn/scope forbidden in library src outside crates/engine",
+        summary: "thread::spawn/scope/Builder forbidden in library src outside crates/engine",
         explain: "\
 Invariant: library code (crates/*/src, excluding src/bin) never calls
-`thread::spawn` or `thread::scope` directly, except inside
+`thread::spawn` or `thread::scope` and never names `thread::Builder`
+(whose `.spawn` is the same thing with a name), except inside
 `crates/engine` — every pool, scope, and background task goes through
 `Engine` so the whole process shares one work-stealing runtime.
 
 Rationale: PR 4 unified four ad-hoc pools onto the engine; a stray
 spawn reintroduces unaccounted parallelism, breaks the worker-count
-contract (ATC_TEST_THREADS pinning), and dodges panic isolation.
+contract (ATC_TEST_THREADS pinning), and dodges panic isolation. A
+named `Builder::spawn` is no less a stray thread than a bare `spawn`.
 
 Scope: library src outside crates/engine; `#[cfg(test)]` regions,
 tests/, benches/, and examples/ are exempt (test harnesses may spawn
@@ -518,11 +520,11 @@ fn check_rogue_thread_spawn(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         if ctx.test_regions.contains(t.start) {
             continue;
         }
-        // Match `thread :: spawn` / `thread :: scope` (the `::` lexes
-        // as two `:` puncts).
+        // Match `thread :: spawn` / `thread :: scope` / `thread ::
+        // Builder` (the `::` lexes as two `:` puncts).
         if ctx.sig_text(si, 1) == ":" && ctx.sig_text(si, 2) == ":" {
             let callee = ctx.sig_text(si, 3);
-            if callee == "spawn" || callee == "scope" {
+            if matches!(callee, "spawn" | "scope" | "Builder") {
                 out.push(ctx.finding(
                     "rogue-thread-spawn",
                     t,

@@ -73,6 +73,28 @@ pub fn go() {
 }
 
 #[test]
+fn rogue_thread_spawn_sees_through_thread_builder() {
+    let bad = r#"
+pub fn go() {
+    let _ = std::thread::Builder::new().name("feeder".into()).spawn(|| {});
+}
+"#;
+    assert_eq!(
+        findings("crates/x/src/lib.rs", bad),
+        ["rogue-thread-spawn:3"]
+    );
+    assert!(findings("crates/engine/src/lib.rs", bad).is_empty());
+
+    let suppressed = r#"
+pub fn go() {
+    // atclint: allow(rogue-thread-spawn) -- signal listener: must outlive the engine.
+    let _ = std::thread::Builder::new().name("feeder".into()).spawn(|| {});
+}
+"#;
+    assert!(findings("crates/x/src/lib.rs", suppressed).is_empty());
+}
+
+#[test]
 fn rogue_thread_spawn_exempts_test_regions() {
     let src = r#"
 #[cfg(test)]

@@ -75,10 +75,10 @@ enum MergeMode {
 ///   shards out to analysis threads.
 ///
 /// Shard payloads refill through [`AtcReader::next_frame`], so the merged
-/// cursor rides the readahead reassembly buffers when
-/// [`ReadOptions::threads`] > 1; every shard's decode tasks share one
-/// engine (injected through [`ReadOptions::engine`], or the process-wide
-/// default).
+/// cursor reads the decoded segment buffers in place (decoded ahead of
+/// it when [`ReadOptions::threads`] > 1); every shard's decode tasks
+/// share one engine (injected through [`ReadOptions::engine`], or the
+/// process-wide default).
 ///
 /// The merged cursor works a block at a time: it fills a flat merged
 /// buffer in bulk — frame-sized stretches of the rotation for
