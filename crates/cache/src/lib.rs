@@ -11,9 +11,9 @@
 //!   ratio of every associativity in one pass per set count; this replaces
 //!   the Cheetah simulator used for Figure 3.
 //! * [`SegmentCache`] — not a simulation subject but a *production*
-//!   component: the process-wide, byte-budgeted LRU of decoded codec
-//!   segments that the random-access read path shares across concurrent
-//!   readers of a hot trace.
+//!   component: the process-wide, byte-budgeted LRU of decoded frames
+//!   (its name predates the unit) that the random-access read path
+//!   shares across concurrent readers of a hot trace.
 //!
 //! Every raw access goes through the filter front end before the codec
 //! sees anything, so it has a batched fast path

@@ -1,23 +1,28 @@
-//! Process-wide decoded-segment cache for the random-access read path.
+//! Process-wide decoded-frame cache for the random-access read path.
 //!
-//! `AtcReader::seek` decodes exactly one compressed segment to reach its
-//! target frame. When N concurrent readers hammer the same hot trace (the
-//! access pattern of a trace-serving daemon or SimPoint-style sampling),
-//! each would decode the same segments over and over; a shared
-//! [`SegmentCache`] lets them reuse each other's decode work instead.
+//! `AtcReader::seek` and every range read land on a frame — the one
+//! unit `next_frame()` hands out. Reaching a frame cold costs a segment
+//! decode *and* a whole-frame bytesort inverse; when N concurrent readers
+//! hammer the same hot trace (the access pattern of a trace-serving
+//! daemon or SimPoint-style sampling), each would redo both over and
+//! over. A shared [`SegmentCache`] keeps the finished frames, so a warm
+//! read is a pointer clone followed by whatever copy its consumer makes.
 //!
-//! Entries are keyed by `(trace_id, segment_idx)` — [`trace_id`] hashes
-//! the canonicalized trace directory path, so two readers of the same
+//! The name predates the unit: entries used to be decoded codec
+//! segments (the *input* to the bytesort inverse). They are now decoded
+//! frames, keyed by `(trace_id, frame_no)` — [`trace_id`] hashes the
+//! canonicalized trace directory path, so two readers of the same
 //! directory agree on the key while distinct traces never collide in
-//! practice — and hold the segment's *decoded* bytes behind an `Arc`, so
-//! a hit is a clone of a pointer, not a copy of a megabyte.
+//! practice — and held behind an `Arc<[u64]>`, so a hit is a clone of a
+//! pointer, not a copy of a frame.
 //!
-//! Capacity is bytes, not entries, accounted through the same
-//! [`ByteBudget`] the write pipeline uses for its buffering gate:
-//! least-recently-used entries are evicted until an insert fits, and an
-//! entry larger than the whole cap bypasses the cache entirely (caching
-//! it would evict everything for one reader's benefit). Hit, miss, and
-//! eviction counters are exposed for `atcstat`/`atcstore stat`.
+//! Capacity is bytes, not entries (a frame of `n` addresses charges
+//! `8 × n`), accounted through the same [`ByteBudget`] the write
+//! pipeline uses for its buffering gate: least-recently-used entries are
+//! evicted until an insert fits, and an entry larger than the whole cap
+//! bypasses the cache entirely (caching it would evict everything for
+//! one reader's benefit). Hit, miss, and eviction counters — one lookup
+//! per frame — are exposed for `atcstat`/`atcstore stat`/`atcd`.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use atc_codec::ByteBudget;
 
-/// Cache key: `(trace_id, segment_idx)` (see [`trace_id`]).
+/// Cache key: `(trace_id, frame_no)` (see [`trace_id`]).
 pub type SegmentKey = (u64, u64);
 
 /// Default byte capacity of the process-wide cache ([`SegmentCache::global`]).
@@ -34,13 +39,13 @@ pub const DEFAULT_SEGMENT_CACHE_BYTES: u64 = 256 << 20;
 /// Counter snapshot of a [`SegmentCache`] (see [`SegmentCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentCacheStats {
-    /// Lookups served from the cache.
+    /// Frame lookups served from the cache.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Frame lookups that found nothing.
     pub misses: u64,
-    /// Entries evicted to make room.
+    /// Frames evicted to make room.
     pub evictions: u64,
-    /// Decoded bytes currently held.
+    /// Bytes of decoded frames currently held (8 per address).
     pub bytes: u64,
     /// Configured byte capacity.
     pub cap: u64,
@@ -67,12 +72,13 @@ impl SegmentCacheStats {
     }
 }
 
-/// A byte-budgeted, true-LRU cache of decoded codec segments shared by
-/// every reader in the process.
+/// A byte-budgeted, true-LRU cache of decoded frames shared by every
+/// reader in the process (named for the segments it held before frames
+/// became the read unit).
 ///
 /// Thread-safe; lookups and inserts take one short mutex-protected pass
-/// over an MRU-ordered list. The entry payload is `Arc<Vec<u8>>`, so
-/// readers keep using a segment after it is evicted — eviction only
+/// over an MRU-ordered list. The entry payload is `Arc<[u64]>`, so
+/// readers keep using a frame after it is evicted — eviction only
 /// releases the cache's byte accounting, the memory follows the last
 /// reader.
 ///
@@ -84,23 +90,23 @@ impl SegmentCacheStats {
 ///
 /// let cache = SegmentCache::new(1 << 20);
 /// assert!(cache.get((7, 0)).is_none());
-/// cache.insert((7, 0), Arc::new(vec![1, 2, 3]));
-/// assert_eq!(cache.get((7, 0)).unwrap().as_slice(), &[1, 2, 3]);
+/// cache.insert((7, 0), Arc::from([1u64, 2, 3]));
+/// assert_eq!(&cache.get((7, 0)).unwrap()[..], &[1, 2, 3]);
 /// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses), (1, 1));
+/// assert_eq!((stats.hits, stats.misses, stats.bytes), (1, 1, 24));
 /// ```
 #[derive(Debug)]
 pub struct SegmentCache {
     budget: ByteBudget,
-    /// `(key, decoded bytes)`, least recently used first.
-    entries: Mutex<Vec<(SegmentKey, Arc<Vec<u8>>)>>,
+    /// `(key, decoded frame)`, least recently used first.
+    entries: Mutex<Vec<(SegmentKey, Arc<[u64]>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl SegmentCache {
-    /// Creates a cache holding up to `cap_bytes` of decoded segments
+    /// Creates a cache holding up to `cap_bytes` of decoded frames
     /// (clamped to at least 1).
     pub fn new(cap_bytes: u64) -> Self {
         Self {
@@ -131,20 +137,20 @@ impl SegmentCache {
         Arc::new(SegmentCache::new(cap_bytes))
     }
 
-    /// Looks up a decoded segment, refreshing its recency on a hit.
-    pub fn get(&self, key: SegmentKey) -> Option<Arc<Vec<u8>>> {
+    /// Looks up a decoded frame, refreshing its recency on a hit.
+    pub fn get(&self, key: SegmentKey) -> Option<Arc<[u64]>> {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         match entries.iter().position(|(k, _)| *k == key) {
             Some(i) => {
                 // Move to MRU (the end); the list is short enough that a
                 // rotate beats a linked structure's pointer chasing.
                 let entry = entries.remove(i);
-                let bytes = Arc::clone(&entry.1);
+                let frame = Arc::clone(&entry.1);
                 entries.push(entry);
                 drop(entries);
                 // ordering: Relaxed — observability counter only.
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
+                Some(frame)
             }
             None => {
                 drop(entries);
@@ -155,19 +161,19 @@ impl SegmentCache {
         }
     }
 
-    /// Inserts (or refreshes) a decoded segment, evicting from the LRU
-    /// end until it fits. A segment larger than the whole capacity is
-    /// not cached at all — admitting it would flush every other entry
-    /// for a single reader's benefit.
-    pub fn insert(&self, key: SegmentKey, bytes: Arc<Vec<u8>>) {
-        let len = bytes.len() as u64;
-        if len > self.budget.cap() {
+    /// Inserts (or refreshes) a decoded frame, charging 8 bytes per
+    /// address and evicting from the LRU end until it fits. A frame
+    /// larger than the whole capacity is not cached at all — admitting it
+    /// would flush every other entry for a single reader's benefit.
+    pub fn insert(&self, key: SegmentKey, frame: Arc<[u64]>) {
+        if !self.admits(frame.len()) {
             return;
         }
+        let len = charge(&frame);
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(i) = entries.iter().position(|(k, _)| *k == key) {
             // Already cached (two readers raced on the same miss): keep
-            // the incumbent bytes, just refresh recency.
+            // the incumbent frame, just refresh recency.
             let entry = entries.remove(i);
             entries.push(entry);
             return;
@@ -176,19 +182,26 @@ impl SegmentCache {
         // always immediate: after this loop `in_use + len <= cap` holds.
         while self.budget.in_use() + len > self.budget.cap() {
             let (_, evicted) = entries.remove(0);
-            self.budget.release(evicted.len() as u64);
+            self.budget.release(charge(&evicted));
             // ordering: Relaxed — observability counter only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.budget.acquire(len);
-        entries.push((key, bytes));
+        entries.push((key, frame));
+    }
+
+    /// Whether [`SegmentCache::insert`] would keep a frame of `addresses`
+    /// addresses (it bypasses frames larger than the whole capacity), so
+    /// a reader can skip building the copy it would insert.
+    pub fn admits(&self, addresses: usize) -> bool {
+        (addresses as u64).saturating_mul(8) <= self.budget.cap()
     }
 
     /// Drops every entry (the counters survive; `bytes` returns to 0).
     pub fn clear(&self) {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for (_, bytes) in entries.drain(..) {
-            self.budget.release(bytes.len() as u64);
+        for (_, frame) in entries.drain(..) {
+            self.budget.release(charge(&frame));
         }
     }
 
@@ -204,6 +217,11 @@ impl SegmentCache {
             cap: self.budget.cap(),
         }
     }
+}
+
+/// Bytes a cached frame is charged against the budget.
+fn charge(frame: &[u64]) -> u64 {
+    frame.len() as u64 * 8
 }
 
 /// Stable identifier of a trace directory for [`SegmentKey`]s: an
@@ -225,19 +243,20 @@ pub fn trace_id(dir: &Path) -> u64 {
 mod tests {
     use super::*;
 
-    fn seg(n: usize, fill: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![fill; n])
+    /// A frame of `n` addresses (charged `8 × n` bytes), all `fill`.
+    fn frame(n: usize, fill: u64) -> Arc<[u64]> {
+        vec![fill; n].into()
     }
 
     #[test]
     fn hit_miss_and_recency() {
-        let c = SegmentCache::new(1000);
+        let c = SegmentCache::new(8000);
         assert!(c.get((1, 0)).is_none());
-        c.insert((1, 0), seg(400, 0xA));
-        c.insert((1, 1), seg(400, 0xB));
+        c.insert((1, 0), frame(400, 0xA));
+        c.insert((1, 1), frame(400, 0xB));
         assert_eq!(c.get((1, 0)).unwrap().len(), 400);
-        // (1,1) is now LRU; a 400-byte insert must evict it, not (1,0).
-        c.insert((1, 2), seg(400, 0xC));
+        // (1,1) is now LRU; a 400-address insert must evict it, not (1,0).
+        c.insert((1, 2), frame(400, 0xC));
         assert!(c.get((1, 1)).is_none(), "LRU entry evicted");
         assert!(c.get((1, 0)).is_some(), "recently used entry survives");
         assert!(c.get((1, 2)).is_some());
@@ -245,56 +264,61 @@ mod tests {
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 2);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.bytes, 800);
-        assert_eq!(s.cap, 1000);
+        assert_eq!(s.bytes, 800 * 8, "8 bytes per cached address");
+        assert_eq!(s.cap, 8000);
     }
 
     #[test]
     fn oversized_entries_bypass() {
-        let c = SegmentCache::new(100);
-        c.insert((0, 0), seg(50, 1));
-        c.insert((0, 1), seg(101, 2)); // larger than the whole cap
+        let c = SegmentCache::new(800);
+        c.insert((0, 0), frame(50, 1));
+        c.insert((0, 1), frame(101, 2)); // 808 bytes: larger than the cap
         assert!(c.get((0, 1)).is_none());
+        assert!(c.admits(100) && !c.admits(101), "admits agrees with insert");
         assert!(c.get((0, 0)).is_some(), "bypass must not evict anything");
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats().bytes, 400);
+        c.insert((0, 2), frame(50, 3)); // exactly fills the cap
+        assert_eq!(c.stats().bytes, 800);
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn duplicate_insert_keeps_incumbent_and_accounting() {
-        let c = SegmentCache::new(1000);
-        c.insert((3, 7), seg(100, 1));
-        c.insert((3, 7), seg(100, 2)); // racing reader's copy
-        assert_eq!(c.stats().bytes, 100, "one entry's bytes, not two");
+        let c = SegmentCache::new(8000);
+        c.insert((3, 7), frame(100, 1));
+        c.insert((3, 7), frame(100, 2)); // racing reader's copy
+        assert_eq!(c.stats().bytes, 800, "one entry's bytes, not two");
         assert_eq!(c.get((3, 7)).unwrap()[0], 1, "first insert wins");
     }
 
     #[test]
     fn clear_releases_bytes() {
-        let c = SegmentCache::new(1000);
-        c.insert((0, 0), seg(600, 1));
+        let c = SegmentCache::new(8000);
+        c.insert((0, 0), frame(600, 1));
         c.clear();
         assert_eq!(c.stats().bytes, 0);
         assert!(c.get((0, 0)).is_none());
-        c.insert((0, 1), seg(900, 2)); // full capacity is available again
-        assert_eq!(c.stats().bytes, 900);
+        c.insert((0, 1), frame(900, 2)); // full capacity is available again
+        assert_eq!(c.stats().bytes, 7200);
     }
 
     #[test]
     fn evicted_entries_stay_alive_for_holders() {
-        let c = SegmentCache::new(100);
-        c.insert((0, 0), seg(80, 7));
+        let c = SegmentCache::new(800);
+        c.insert((0, 0), frame(80, 7));
         let held = c.get((0, 0)).unwrap();
-        c.insert((0, 1), seg(80, 8)); // evicts (0,0)
+        c.insert((0, 1), frame(80, 8)); // evicts (0,0)
         assert!(c.get((0, 0)).is_none());
-        assert_eq!(held.len(), 80, "the Arc keeps evicted bytes alive");
-        assert!(held.iter().all(|&b| b == 7));
+        assert_eq!(held.len(), 80, "the Arc keeps an evicted frame alive");
+        assert!(held.iter().all(|&v| v == 7));
     }
 
     #[test]
     fn isolated_instances_do_not_share_counters() {
         let a = SegmentCache::isolated(1 << 20);
         let b = SegmentCache::isolated(1 << 20);
-        a.insert((1, 0), seg(64, 1));
+        a.insert((1, 0), frame(64, 1));
         assert!(a.get((1, 0)).is_some());
         assert!(b.get((1, 0)).is_none(), "no entry sharing");
         assert_eq!(a.stats().hits, 1);
@@ -305,7 +329,7 @@ mod tests {
     #[test]
     fn stats_since_subtracts_counters_keeps_gauges() {
         let c = SegmentCache::isolated(1 << 20);
-        c.insert((1, 0), seg(64, 1));
+        c.insert((1, 0), frame(64, 1));
         c.get((1, 9));
         let base = c.stats();
         c.get((1, 0));
@@ -315,7 +339,7 @@ mod tests {
         assert_eq!(delta.hits, 2);
         assert_eq!(delta.misses, 1);
         assert_eq!(delta.evictions, 0);
-        assert_eq!(delta.bytes, 64, "bytes is a gauge, not a delta");
+        assert_eq!(delta.bytes, 512, "bytes is a gauge, not a delta");
         assert_eq!(delta.cap, 1 << 20);
         // A baseline from elsewhere saturates instead of underflowing.
         let skewed = SegmentCacheStats {
@@ -348,8 +372,8 @@ mod tests {
                     for i in 0..50u64 {
                         let key = (1, i % 8);
                         match c.get(key) {
-                            Some(bytes) => assert_eq!(bytes.len(), 64),
-                            None => c.insert(key, Arc::new(vec![t as u8; 64])),
+                            Some(f) => assert_eq!(f.len(), 64),
+                            None => c.insert(key, frame(64, t)),
                         }
                     }
                 })
@@ -358,6 +382,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(c.stats().bytes <= 8 * 64);
+        assert!(c.stats().bytes <= 8 * 64 * 8);
     }
 }

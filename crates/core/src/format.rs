@@ -1196,9 +1196,9 @@ pub struct NetStat {
     pub shard_counts: Vec<u64>,
     /// Whether the merged read-back replays exact arrival order.
     pub exact_merge: bool,
-    /// Segment-cache hits accumulated since the server started.
+    /// Frame-cache hits accumulated since the server started.
     pub cache_hits: u64,
-    /// Segment-cache misses accumulated since the server started.
+    /// Frame-cache misses accumulated since the server started.
     pub cache_misses: u64,
 }
 

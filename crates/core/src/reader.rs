@@ -43,12 +43,16 @@ pub struct ReadOptions {
     /// store) inject one so many readers share a worker set and isolated
     /// counters.
     pub engine: Option<Engine>,
-    /// Decoded-segment cache for lossless traces that carry a seek
-    /// sidecar. When set (usually to [`SegmentCache::global`]), payload
-    /// segments are decoded at most once per process while cached —
-    /// every reader of a hot trace reuses the others' decode work, and
-    /// [`AtcReader::seek`] lands on already-decoded segments for free.
-    /// Traces without a sidecar ignore this and read linearly.
+    /// Decoded-frame cache for lossless traces that carry a seek
+    /// sidecar (the field and type names predate the unit: it once held
+    /// decoded segment bytes). When set (usually to
+    /// [`SegmentCache::global`]), every frame is looked up by number
+    /// before anything is decoded, and a miss inserts the frame it
+    /// parsed — so each frame is decoded and un-bytesorted at most once
+    /// per process while cached, every reader of a hot trace reuses the
+    /// others' work, and a warm [`AtcReader::seek`] opens no payload
+    /// file at all. Traces without a sidecar ignore this and read
+    /// linearly.
     pub segment_cache: Option<Arc<SegmentCache>>,
 }
 
@@ -63,68 +67,22 @@ impl Default for ReadOptions {
     }
 }
 
-/// A payload stream: read front to back through the one codec-stream
-/// reader (inline, or decoding ahead on the engine), or
-/// segment-at-a-time off the seek sidecar's table (optionally sharing
-/// decoded segments through a [`SegmentCache`]).
-#[derive(Debug)]
-enum SegmentStream {
-    Linear(CodecReader<BufReader<File>>),
-    Table(TableSegmentStream),
-}
-
-impl SegmentStream {
-    /// Opens a payload stream; open failures keep their `io::Error` (so
-    /// callers can still distinguish e.g. `NotFound`) — wrap with context
-    /// at the call site where useful.
-    fn open(
-        path: &Path,
-        codec: &Arc<dyn Codec>,
-        threads: usize,
-        engine: Option<&Engine>,
-    ) -> std::io::Result<Self> {
-        let file = BufReader::new(File::open(path)?);
-        let codec = Arc::clone(codec);
-        Ok(Self::Linear(match engine {
-            Some(e) => CodecReader::with_engine(file, codec, threads, e.clone()),
-            None => CodecReader::with_threads(file, codec, threads),
-        }))
-    }
-
-    /// Compressed segments this stream decoded and delivered since it was
-    /// built (i.e. since open or the last seek). Cache *hits* are not
-    /// decodes — a warm [`SegmentCache`] read reports 0.
-    fn segments_decoded(&self) -> u64 {
-        match self {
-            Self::Linear(r) => r.segments_decoded(),
-            Self::Table(r) => r.decoded,
-        }
-    }
-}
-
-impl Read for SegmentStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Linear(r) => r.read(buf),
-            Self::Table(r) => r.read(buf),
-        }
-    }
-}
-
-impl BufRead for SegmentStream {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        match self {
-            Self::Linear(r) => r.fill_buf(),
-            Self::Table(r) => r.fill_buf(),
-        }
-    }
-
-    fn consume(&mut self, amt: usize) {
-        match self {
-            Self::Linear(r) => r.consume(amt),
-            Self::Table(r) => r.consume(amt),
-        }
-    }
+/// Opens a payload stream read front to back through the one
+/// codec-stream reader (inline, or decoding ahead on the engine). Open
+/// failures keep their `io::Error` (so callers can still distinguish
+/// e.g. `NotFound`) — wrap with context at the call site where useful.
+fn open_linear(
+    path: &Path,
+    codec: &Arc<dyn Codec>,
+    threads: usize,
+    engine: Option<&Engine>,
+) -> std::io::Result<CodecReader<BufReader<File>>> {
+    let file = BufReader::new(File::open(path)?);
+    let codec = Arc::clone(codec);
+    Ok(match engine {
+        Some(e) => CodecReader::with_engine(file, codec, threads, e.clone()),
+        None => CodecReader::with_threads(file, codec, threads),
+    })
 }
 
 /// Upper bound on the up-front reservation for one decoded segment. Every
@@ -136,22 +94,20 @@ const SEGMENT_PREALLOC_CAP: usize = DEFAULT_SEGMENT_SIZE;
 /// A payload stream that decodes one segment at a time. Segment
 /// boundaries come from the seek sidecar, so the stream can start (and
 /// `seek_to_raw` restart) at any raw offset by decoding at most the one
-/// segment containing it; with a [`SegmentCache`] attached, decoded
-/// segments are shared process-wide.
+/// segment containing it.
 #[derive(Debug)]
 struct TableSegmentStream {
     file: File,
     codec: Arc<dyn Codec>,
-    table: format::SeekTable,
-    trace: u64,
-    cache: Option<Arc<SegmentCache>>,
-    /// Decoded bytes of the segment currently being consumed.
-    current: Arc<Vec<u8>>,
+    table: Arc<format::SeekTable>,
+    /// Decoded bytes of the segment currently being consumed (segment
+    /// `next_seg - 1` whenever non-empty).
+    current: Vec<u8>,
     /// Read position within `current`.
     pos: usize,
     /// Index of the next segment to load once `current` is drained.
     next_seg: usize,
-    /// Segments actually decompressed (cache misses) by this stream.
+    /// Segments decompressed by this stream.
     decoded: u64,
 }
 
@@ -160,29 +116,21 @@ impl TableSegmentStream {
     fn open(
         dir: &Path,
         codec: &Arc<dyn Codec>,
-        table: format::SeekTable,
-        cache: Option<Arc<SegmentCache>>,
+        table: Arc<format::SeekTable>,
     ) -> std::io::Result<Self> {
         Ok(Self {
             file: File::open(dir.join(format::DATA_FILE))?,
             codec: Arc::clone(codec),
             table,
-            trace: trace_id(dir),
-            cache,
-            current: Arc::new(Vec::new()),
+            current: Vec::new(),
             pos: 0,
             next_seg: 0,
             decoded: 0,
         })
     }
 
-    /// Fetches segment `idx` from the cache, decoding (and caching) it on
-    /// a miss.
-    fn load_segment(&mut self, idx: usize) -> std::io::Result<Arc<Vec<u8>>> {
-        let key = (self.trace, idx as u64);
-        if let Some(bytes) = self.cache.as_ref().and_then(|c| c.get(key)) {
-            return Ok(bytes);
-        }
+    /// Reads and decodes segment `idx`.
+    fn load_segment(&mut self, idx: usize) -> std::io::Result<Vec<u8>> {
         let rec = self.table.segments()[idx];
         let framed = usize::try_from(rec.compressed_len)
             .map_err(|_| invalid_data(format!("segment {idx} length overflows usize")))?;
@@ -211,18 +159,15 @@ impl TableSegmentStream {
             )));
         }
         self.decoded += 1;
-        let raw = Arc::new(raw);
-        if let Some(cache) = &self.cache {
-            cache.insert(key, Arc::clone(&raw));
-        }
         Ok(raw)
     }
 
     /// Repositions the stream to `raw_offset` bytes into the decoded
-    /// payload, loading at most the one segment containing it.
+    /// payload, loading at most the one segment containing it — none
+    /// when that segment is the one already loaded.
     fn seek_to_raw(&mut self, raw_offset: u64) -> std::io::Result<()> {
         if raw_offset >= self.table.total_raw_bytes() {
-            self.current = Arc::new(Vec::new());
+            self.current = Vec::new();
             self.pos = 0;
             self.next_seg = self.table.len();
             return Ok(());
@@ -234,7 +179,9 @@ impl TableSegmentStream {
             // return above handles raw_offset >= total_raw_bytes, and
             // locate() covers every offset below that.
             .expect("raw_offset below total_raw_bytes always lands in a segment");
-        self.current = self.load_segment(idx)?;
+        if self.current.is_empty() || self.next_seg != idx + 1 {
+            self.current = self.load_segment(idx)?;
+        }
         self.pos = (raw_offset - self.table.raw_start(idx)) as usize;
         self.next_seg = idx + 1;
         Ok(())
@@ -274,6 +221,141 @@ impl BufRead for TableSegmentStream {
 
     fn consume(&mut self, amt: usize) {
         self.pos = (self.pos + amt).min(self.current.len());
+    }
+}
+
+/// Frame-at-a-time access to a lossless trace by its seek sidecar: the
+/// path of every reader opened with a [`SegmentCache`] and of every
+/// [`AtcReader::seek`] on a trace with a usable sidecar. With a cache,
+/// frame `k` is looked up under `(trace_id, k)` first; only a miss (or
+/// no cache) touches the payload — through a [`TableSegmentStream`]
+/// positioned at the frame's raw offset on demand — and the cache gets
+/// a copy of what the miss parsed.
+#[derive(Debug)]
+struct SidecarFrames {
+    /// The cache and this trace's id in its keys.
+    cache: Option<(Arc<SegmentCache>, u64)>,
+    dir: PathBuf,
+    codec: Arc<dyn Codec>,
+    table: Arc<format::SeekTable>,
+    /// The payload stream and the frame number its next parse yields:
+    /// opened on the first miss, dropped by every seek.
+    stream: Option<(TableSegmentStream, u64)>,
+    /// The current frame when it is shared with the cache (a hit, or a
+    /// miss the cache admitted); `None`: the bytesort inverse's output
+    /// buffer holds it.
+    shared: Option<Arc<[u64]>>,
+}
+
+impl SidecarFrames {
+    fn new(
+        cache: Option<Arc<SegmentCache>>,
+        dir: &Path,
+        codec: &Arc<dyn Codec>,
+        table: Arc<format::SeekTable>,
+    ) -> Self {
+        Self {
+            cache: cache.map(|c| (c, trace_id(dir))),
+            dir: dir.to_path_buf(),
+            codec: Arc::clone(codec),
+            table,
+            stream: None,
+            shared: None,
+        }
+    }
+
+    /// Makes the frame starting at trace address `produced` current and
+    /// returns its length; `Ok(None)` when the payload holds nothing
+    /// more. Every frame of a sidecar trace but the last is `buffer`
+    /// addresses long, so `produced` is always frame-aligned (or the
+    /// trace's count) here, and a parsed frame of any other length is
+    /// corruption, never cached.
+    fn advance(
+        &mut self,
+        meta: &Meta,
+        produced: u64,
+        inverse: &mut BytesortInverse,
+        scratch: &mut Vec<u8>,
+        stats: &mut FrameReadStats,
+    ) -> Result<Option<usize>> {
+        // At the trace's count this is the one-past-the-end frame.
+        let frame_no = produced.div_ceil(meta.buffer);
+        let expect = meta.count.saturating_sub(produced).min(meta.buffer);
+        self.shared = None;
+        if let Some((cache, trace)) = &self.cache {
+            if expect > 0 {
+                if let Some(frame) = cache
+                    .get((*trace, frame_no))
+                    .filter(|f| f.len() as u64 == expect)
+                {
+                    stats.frames += 1;
+                    return Ok(Some(self.shared.insert(frame).len()));
+                }
+            }
+        }
+        let stream = match self.stream.take() {
+            Some((stream, at)) if at == frame_no => stream,
+            old => {
+                let raw = frame_raw_offset(meta, frame_no)?;
+                check_sidecar_span(&self.table, frame_no, raw)?;
+                if raw == self.table.total_raw_bytes() {
+                    // Nothing follows: no payload file to open.
+                    self.stream = old;
+                    return Ok(None);
+                }
+                let mut stream = match old {
+                    Some((stream, _)) => stream,
+                    None => {
+                        TableSegmentStream::open(&self.dir, &self.codec, Arc::clone(&self.table))?
+                    }
+                };
+                stream.seek_to_raw(raw)?;
+                stream
+            }
+        };
+        let (stream, at) = self.stream.insert((stream, frame_no));
+        // Empty frames are legal in the format: parse past them, as the
+        // linear path does. Each one consumes a byte, so this ends.
+        loop {
+            if !format::read_frame_borrowed(stream, inverse, scratch, stats)? {
+                return Ok(None);
+            }
+            if !inverse.finish()?.is_empty() {
+                break;
+            }
+        }
+        *at = frame_no + 1;
+        let frame = inverse.finish()?;
+        if frame.len() as u64 != expect {
+            return Err(AtcError::Format(format!(
+                "frame {frame_no} holds {} addresses where the trace's {}-address \
+                 frames put {expect}",
+                frame.len(),
+                meta.buffer
+            )));
+        }
+        if let Some((cache, trace)) = &self.cache {
+            // Copy only what the cache will keep.
+            if cache.admits(frame.len()) {
+                let shared = self.shared.insert(Arc::from(frame));
+                cache.insert((*trace, frame_no), Arc::clone(shared));
+            }
+        }
+        Ok(Some(frame.len()))
+    }
+
+    /// The current frame (after a successful [`SidecarFrames::advance`]).
+    fn current<'a>(&'a self, inverse: &'a BytesortInverse) -> Result<&'a [u64]> {
+        match &self.shared {
+            Some(frame) => Ok(frame),
+            None => inverse.finish(),
+        }
+    }
+
+    /// Segments decoded since open or the last seek (cache hits decode
+    /// nothing).
+    fn segments_decoded(&self) -> u64 {
+        self.stream.as_ref().map_or(0, |(s, _)| s.decoded)
     }
 }
 
@@ -330,16 +412,21 @@ pub struct AtcReader {
     /// payload stream the way it was opened.
     threads: usize,
     engine: Option<Engine>,
-    segment_cache: Option<Arc<SegmentCache>>,
+    /// Set once [`load_seek_table`] found no usable sidecar, so later
+    /// seeks neither re-read it nor re-validate it. (A usable one lives
+    /// in [`State::Sidecar`] from then on.)
+    no_sidecar: bool,
     /// The missing-sidecar fallback warns once per reader, not per call.
     warned_linear: bool,
 }
 
 #[derive(Debug)]
 enum State {
-    Lossless {
-        stream: SegmentStream,
-    },
+    /// Lossless, read front to back.
+    Linear(CodecReader<BufReader<File>>),
+    /// Lossless, read frame by frame off a usable seek sidecar: opened
+    /// with a [`SegmentCache`], or seeked.
+    Sidecar(SidecarFrames),
     Lossy {
         info: CodecReader<BufReader<File>>,
         cache: ChunkCache,
@@ -379,29 +466,28 @@ impl AtcReader {
         );
         let threads = options.threads.max(1);
         let engine = options.engine.clone();
-        let segment_cache = options.segment_cache.clone();
+        let mut no_sidecar = false;
         let state = match meta.mode.as_str() {
-            "lossless" => State::Lossless {
-                stream: match segment_cache
-                    .as_ref()
-                    .and_then(|_| load_seek_table(&dir, &meta))
-                {
-                    Some(table) => SegmentStream::Table(TableSegmentStream::open(
-                        &dir,
-                        &codec,
-                        table,
-                        segment_cache.clone(),
-                    )?),
-                    // No cache requested, or no usable sidecar to cut
-                    // segments with: plain streaming decode.
-                    None => SegmentStream::open(
+            "lossless" => {
+                let table = options.segment_cache.as_ref().and_then(|_| {
+                    let table = load_seek_table(&dir, &meta);
+                    no_sidecar = table.is_none();
+                    table
+                });
+                match (options.segment_cache, table) {
+                    (Some(cache), Some(table)) => {
+                        State::Sidecar(SidecarFrames::new(Some(cache), &dir, &codec, table))
+                    }
+                    // No cache requested, or no usable sidecar to number
+                    // frames by: plain streaming decode.
+                    _ => State::Linear(open_linear(
                         &dir.join(format::DATA_FILE),
                         &codec,
                         threads,
                         engine.as_ref(),
-                    )?,
-                },
-            },
+                    )?),
+                }
+            }
             "lossy" => {
                 let file = BufReader::new(File::open(dir.join(format::INFO_FILE))?);
                 State::Lossy {
@@ -429,7 +515,7 @@ impl AtcReader {
             poisoned: None,
             threads,
             engine,
-            segment_cache,
+            no_sidecar,
             warned_linear: false,
         })
     }
@@ -498,8 +584,9 @@ impl AtcReader {
     /// The current frame (meaningful only while `remaining > 0`, or right
     /// after a successful [`AtcReader::advance`]).
     fn current(&self) -> Result<&[u64]> {
-        match self.state {
-            State::Lossless { .. } => self.inverse.finish(),
+        match &self.state {
+            State::Linear(_) => self.inverse.finish(),
+            State::Sidecar(frames) => frames.current(&self.inverse),
             State::Lossy { .. } => Ok(&self.frame),
         }
     }
@@ -513,28 +600,38 @@ impl AtcReader {
 
     fn advance_inner(&mut self) -> Result<bool> {
         let len = match &mut self.state {
-            State::Lossless { stream } => {
-                if !format::read_frame_borrowed(
+            State::Linear(stream) => {
+                if format::read_frame_borrowed(
                     stream,
                     &mut self.inverse,
                     &mut self.col_scratch,
                     &mut self.frame_stats,
                 )? {
-                    self.check_complete()?;
-                    return Ok(false);
+                    Some(self.inverse.finish()?.len())
+                } else {
+                    None
                 }
-                self.inverse.finish()?.len()
             }
-            State::Lossy { info, cache } => {
-                let Some(record) = IntervalRecord::read(info)? else {
-                    self.check_complete()?;
-                    return Ok(false);
-                };
-                self.frame.clear();
-                materialize_interval(&self.dir, &self.codec, cache, record, &mut self.frame)?;
-                self.frame_stats.frames += 1;
-                self.frame.len()
-            }
+            State::Sidecar(frames) => frames.advance(
+                &self.meta,
+                self.produced,
+                &mut self.inverse,
+                &mut self.col_scratch,
+                &mut self.frame_stats,
+            )?,
+            State::Lossy { info, cache } => match IntervalRecord::read(info)? {
+                Some(record) => {
+                    self.frame.clear();
+                    materialize_interval(&self.dir, &self.codec, cache, record, &mut self.frame)?;
+                    self.frame_stats.frames += 1;
+                    Some(self.frame.len())
+                }
+                None => None,
+            },
+        };
+        let Some(len) = len else {
+            self.check_complete()?;
+            return Ok(false);
         };
         self.remaining = len;
         self.produced += len as u64;
@@ -595,9 +692,9 @@ impl AtcReader {
     /// Repositions the reader so the next value decoded is the first
     /// address of frame `frame_no` (address number `frame_no ×
     /// meta.buffer`), in O(log segments) when the trace carries a seek
-    /// sidecar: the target segment is found by binary search and at most
-    /// that one segment is decoded before the target — never the
-    /// megabytes in front of it. Traces written before the sidecar
+    /// sidecar: the seek only records the target, and the next read finds
+    /// the target segment by binary search and decodes at most that one
+    /// segment before the target — never the megabytes in front of it. Traces written before the sidecar
     /// existed still work: the reader warns once on stderr and falls
     /// back to a linear decode-and-discard up to the target.
     ///
@@ -607,9 +704,9 @@ impl AtcReader {
     /// one-past-the-end frame is allowed and behaves like a fully drained
     /// reader. After a seek the payload decodes on the calling thread
     /// ([`ReadOptions::threads`] accelerates linear scans, which a seek
-    /// is not); the [`ReadOptions::segment_cache`], when configured, is
-    /// consulted so repeated seeks into hot segments skip even the one
-    /// decode.
+    /// is not). With a [`ReadOptions::segment_cache`] the next read looks
+    /// the target frame up first, so a seek onto a hot frame opens no
+    /// payload file and decodes nothing.
     ///
     /// # Errors
     ///
@@ -659,83 +756,41 @@ impl AtcReader {
     }
 
     fn seek_inner(&mut self, frame_no: u64) -> Result<()> {
-        if !matches!(self.state, State::Lossless { .. }) {
+        if matches!(self.state, State::Lossy { .. }) {
             return Err(AtcError::Format(
                 "seek requires a lossless trace: lossy intervals are not frame-addressable".into(),
             ));
         }
-        // Nonzero: `Meta::parse` refuses buffer=0.
-        let buffer = self.meta.buffer;
-        let past_end = || {
-            AtcError::Format(format!(
-                "seek target frame {frame_no} is past the end of the trace \
-                 ({} addresses in frames of {buffer})",
-                self.meta.count
-            ))
-        };
-        let total_frames = self.meta.count.div_ceil(buffer);
-        if frame_no > total_frames {
-            return Err(past_end());
-        }
-        let target_value = frame_no
-            .checked_mul(buffer)
-            .ok_or_else(past_end)?
-            .min(self.meta.count);
-        // Every frame before the target is full (exactly `buffer`
-        // addresses), so its raw frame bytes are a fixed
-        // varint-header-plus-columns size and the target's raw offset is
-        // one multiplication — no index of frame offsets is needed. The
-        // one-past-the-end frame accounts for a partial tail frame.
-        let frame_raw = varint_len(buffer)
-            .checked_add(buffer.checked_mul(8).ok_or_else(past_end)?)
-            .ok_or_else(past_end)?;
-        let target_raw = if frame_no == total_frames {
-            let rem = self.meta.count % buffer;
-            let tail = if rem > 0 {
-                varint_len(rem) + 8 * rem
-            } else {
-                0
-            };
-            (self.meta.count / buffer)
-                .checked_mul(frame_raw)
-                .and_then(|v| v.checked_add(tail))
-                .ok_or_else(past_end)?
-        } else {
-            frame_no.checked_mul(frame_raw).ok_or_else(past_end)?
-        };
-
+        let target_raw = frame_raw_offset(&self.meta, frame_no)?;
         self.remaining = 0;
-        let fresh = match load_seek_table(&self.dir, &self.meta) {
-            Some(table) => {
-                if target_raw > table.total_raw_bytes() {
-                    return Err(AtcError::Format(format!(
-                        "seek sidecar spans {} raw bytes but frame {frame_no} starts at {target_raw}",
-                        table.total_raw_bytes()
-                    )));
+        if !matches!(self.state, State::Sidecar(_)) && !self.no_sidecar {
+            match load_seek_table(&self.dir, &self.meta) {
+                Some(table) => {
+                    self.state =
+                        State::Sidecar(SidecarFrames::new(None, &self.dir, &self.codec, table));
                 }
-                let mut stream = TableSegmentStream::open(
-                    &self.dir,
-                    &self.codec,
-                    table,
-                    self.segment_cache.clone(),
-                )?;
-                stream.seek_to_raw(target_raw)?;
-                SegmentStream::Table(stream)
+                None => self.no_sidecar = true,
             }
-            None => {
-                self.warn_linear_fallback();
-                let mut stream = SegmentStream::open(
-                    &self.dir.join(format::DATA_FILE),
-                    &self.codec,
-                    self.threads,
-                    self.engine.as_ref(),
-                )?;
-                skip_raw(&mut stream, target_raw)?;
-                stream
-            }
-        };
-        self.state = State::Lossless { stream: fresh };
-        self.produced = target_value;
+        }
+        if let State::Sidecar(frames) = &mut self.state {
+            check_sidecar_span(&frames.table, frame_no, target_raw)?;
+            // The next advance finds the target frame by number.
+            frames.stream = None;
+        } else {
+            self.warn_linear_fallback();
+            let mut stream = open_linear(
+                &self.dir.join(format::DATA_FILE),
+                &self.codec,
+                self.threads,
+                self.engine.as_ref(),
+            )?;
+            skip_raw(&mut stream, target_raw)?;
+            self.state = State::Linear(stream);
+        }
+        // `frame_raw_offset` bounded `frame_no` by the frame count.
+        self.produced = frame_no
+            .saturating_mul(self.meta.buffer)
+            .min(self.meta.count);
         Ok(())
     }
 
@@ -744,11 +799,12 @@ impl AtcReader {
     /// reader, at any [`ReadOptions::threads`]: `None` for lossy traces,
     /// which have no single payload stream. This is the observable
     /// behind seek's O(1)-decode promise — after a seek, reading one
-    /// frame costs at most one segment decode (zero when the segment
-    /// cache is warm).
+    /// frame costs at most two segment decodes (zero when the frame is
+    /// cached).
     pub fn segments_decoded(&self) -> Option<u64> {
         match &self.state {
-            State::Lossless { stream } => Some(stream.segments_decoded()),
+            State::Linear(stream) => Some(stream.segments_decoded()),
+            State::Sidecar(frames) => Some(frames.segments_decoded()),
             State::Lossy { .. } => None,
         }
     }
@@ -771,7 +827,7 @@ impl AtcReader {
 /// sidecar" (absent, unreadable, malformed, disagreeing with `meta`, or
 /// describing more compressed bytes than the payload file holds) — the
 /// caller falls back to linear decoding, it is never a hard error.
-fn load_seek_table(dir: &Path, meta: &Meta) -> Option<format::SeekTable> {
+fn load_seek_table(dir: &Path, meta: &Meta) -> Option<Arc<format::SeekTable>> {
     let bytes = std::fs::read(dir.join(format::SEEK_FILE)).ok()?;
     let table = format::SeekTable::decode(&bytes).ok()?;
     if let Some(n) = meta.seek_segments {
@@ -789,7 +845,59 @@ fn load_seek_table(dir: &Path, meta: &Meta) -> Option<format::SeekTable> {
     if spanned > data_len {
         return None;
     }
-    Some(table)
+    Some(Arc::new(table))
+}
+
+/// Raw (decoded payload) byte offset at which frame `frame_no` starts;
+/// fails past the one-past-the-end frame.
+fn frame_raw_offset(meta: &Meta, frame_no: u64) -> Result<u64> {
+    // Nonzero: `Meta::parse` refuses buffer=0.
+    let buffer = meta.buffer;
+    let past_end = || {
+        AtcError::Format(format!(
+            "seek target frame {frame_no} is past the end of the trace \
+             ({} addresses in frames of {buffer})",
+            meta.count
+        ))
+    };
+    let total_frames = meta.count.div_ceil(buffer);
+    if frame_no > total_frames {
+        return Err(past_end());
+    }
+    // Every frame before the target is full (exactly `buffer`
+    // addresses), so its raw frame bytes are a fixed
+    // varint-header-plus-columns size and the target's raw offset is
+    // one multiplication — no index of frame offsets is needed. The
+    // one-past-the-end frame accounts for a partial tail frame.
+    let frame_raw = varint_len(buffer)
+        .checked_add(buffer.checked_mul(8).ok_or_else(past_end)?)
+        .ok_or_else(past_end)?;
+    if frame_no == total_frames {
+        let rem = meta.count % buffer;
+        let tail = if rem > 0 {
+            varint_len(rem) + 8 * rem
+        } else {
+            0
+        };
+        (meta.count / buffer)
+            .checked_mul(frame_raw)
+            .and_then(|v| v.checked_add(tail))
+            .ok_or_else(past_end)
+    } else {
+        frame_no.checked_mul(frame_raw).ok_or_else(past_end)
+    }
+}
+
+/// Fails if frame `frame_no`'s raw offset lies past what the sidecar's
+/// segments decode to.
+fn check_sidecar_span(table: &format::SeekTable, frame_no: u64, raw: u64) -> Result<()> {
+    if raw > table.total_raw_bytes() {
+        return Err(AtcError::Format(format!(
+            "seek sidecar spans {} raw bytes but frame {frame_no} starts at {raw}",
+            table.total_raw_bytes()
+        )));
+    }
+    Ok(())
 }
 
 /// Encoded length of `varint(value)` in bytes (LEB128, 7 bits per byte).
@@ -880,8 +988,8 @@ impl ChunkCache {
             return Ok(addrs);
         }
         let path = dir.join(format::chunk_file_name(id));
-        let mut stream = SegmentStream::open(&path, codec, self.threads, self.engine.as_ref())
-            .map_err(|e| {
+        let mut stream =
+            open_linear(&path, codec, self.threads, self.engine.as_ref()).map_err(|e| {
                 AtcError::Format(format!("cannot open chunk file {}: {e}", path.display()))
             })?;
         let mut addrs = Vec::new();
@@ -1485,10 +1593,11 @@ mod tests {
         let table = load_seek_table(&dir, r.meta()).expect("sidecar written");
         assert!(table.len() >= 3, "need a multi-segment trace");
 
-        // Seek deep into the trace: only the segment holding the target
-        // may be decoded, not the ones in front of it.
+        // Seek deep into the trace: the seek itself decodes nothing, and
+        // the read after it only the segment(s) holding the target frame,
+        // not the ones in front of it.
         r.seek(400).unwrap();
-        assert_eq!(r.segments_decoded(), Some(1));
+        assert_eq!(r.segments_decoded(), Some(0));
         assert_eq!(r.decode().unwrap(), Some(addrs[400 * 1000]));
         assert!(
             r.segments_decoded().unwrap() <= 2,
@@ -1557,35 +1666,141 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn cached(cache: &Arc<SegmentCache>) -> ReadOptions {
+        ReadOptions {
+            segment_cache: Some(Arc::clone(cache)),
+            ..ReadOptions::default()
+        }
+    }
+
     #[test]
     fn cached_reads_are_byte_identical_and_record_hits() {
-        let addrs: Vec<u64> = (0..200_000u64).map(|i| i.wrapping_mul(0x517C)).collect();
+        // 200 full frames plus a 500-address tail frame.
+        let addrs: Vec<u64> = (0..200_500u64).map(|i| i.wrapping_mul(0x517C)).collect();
         let dir = tmp("cached-reads");
         write_segmented(&dir, &addrs, "lz", 1000);
-        let cache = Arc::new(SegmentCache::new(64 << 20));
-        let with_cache = || ReadOptions {
-            segment_cache: Some(Arc::clone(&cache)),
-            ..ReadOptions::default()
-        };
+        let cache = SegmentCache::isolated(64 << 20);
 
-        // Cold pass decodes and populates; warm pass must read the very
-        // same bytes out of the cache without decoding anything.
-        let mut cold = AtcReader::open_with(&dir, with_cache()).unwrap();
+        // Cold pass decodes, parses and inserts every frame; the warm
+        // pass must hand out the very same values from the cache without
+        // decoding a segment.
+        let mut cold = AtcReader::open_with(&dir, cached(&cache)).unwrap();
         assert_eq!(cold.decode_all().unwrap(), addrs);
-        let decoded_cold = cold.segments_decoded().unwrap();
-        assert!(decoded_cold >= 2, "multi-segment trace");
-        assert_eq!(cache.stats().hits, 0);
+        assert!(cold.segments_decoded().unwrap() >= 2, "multi-segment trace");
+        let frames = cold.frame_stats().frames;
+        assert_eq!(frames, 201);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, frames));
+        assert_eq!(stats.bytes, addrs.len() as u64 * 8, "8 bytes per address");
 
-        let mut warm = AtcReader::open_with(&dir, with_cache()).unwrap();
+        let mut warm = AtcReader::open_with(&dir, cached(&cache)).unwrap();
         assert_eq!(warm.decode_all().unwrap(), addrs);
-        assert_eq!(warm.segments_decoded(), Some(0), "every segment was cached");
-        assert_eq!(cache.stats().hits, decoded_cold);
+        assert_eq!(warm.segments_decoded(), Some(0), "every frame was cached");
+        assert_eq!(warm.frame_stats().frames, frames);
+        assert_eq!(cache.stats().hits, frames);
 
-        // Warm seeks decode nothing either.
-        let mut seeker = AtcReader::open_with(&dir, with_cache()).unwrap();
+        // Warm seeks decode nothing either, the tail frame included.
+        let mut seeker = AtcReader::open_with(&dir, cached(&cache)).unwrap();
         seeker.seek(150).unwrap();
         assert_eq!(seeker.decode().unwrap(), Some(addrs[150_000]));
+        seeker.seek(200).unwrap();
+        assert_eq!(seeker.decode_all().unwrap(), &addrs[200_000..]);
         assert_eq!(seeker.segments_decoded(), Some(0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_seek_to_value_mid_frame_decodes_nothing() {
+        let addrs: Vec<u64> = (0..50_000u64).map(|i| i.wrapping_mul(0x9E37)).collect();
+        let dir = tmp("cached-seek-value");
+        write_segmented(&dir, &addrs, "lz", 700);
+        let cache = SegmentCache::isolated(64 << 20);
+        AtcReader::open_with(&dir, cached(&cache))
+            .unwrap()
+            .decode_all()
+            .unwrap();
+        let mut r = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+        for pos in [35_350u64, 1, 699, 49_999, 20_000] {
+            r.seek_to_value(pos).unwrap();
+            assert_eq!(r.decode().unwrap(), Some(addrs[pos as usize]), "pos {pos}");
+            assert_eq!(r.segments_decoded(), Some(0), "pos {pos}");
+        }
+        let hits = cache.stats().hits;
+        // The in-frame skip then frames to the end, all from the cache.
+        r.seek_to_value(48_999).unwrap();
+        assert_eq!(r.decode_all().unwrap(), &addrs[48_999..]);
+        assert_eq!(r.segments_decoded(), Some(0));
+        assert!(cache.stats().hits > hits);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn equal_frame_numbers_of_two_traces_never_alias() {
+        let a: Vec<u64> = (0..5_000u64).map(|i| i * 64).collect();
+        let b: Vec<u64> = (0..5_000u64).map(|i| (i * 64) ^ 0xDEAD_0000).collect();
+        let (dir_a, dir_b) = (tmp("cached-alias-a"), tmp("cached-alias-b"));
+        write_segmented(&dir_a, &a, "lz", 1000);
+        write_segmented(&dir_b, &b, "lz", 1000);
+        let cache = SegmentCache::isolated(64 << 20);
+        for _ in 0..2 {
+            for (dir, want) in [(&dir_a, &a), (&dir_b, &b)] {
+                let mut r = AtcReader::open_with(dir, cached(&cache)).unwrap();
+                assert_eq!(&r.decode_all().unwrap(), want);
+                r.seek(3).unwrap();
+                assert_eq!(r.decode().unwrap(), Some(want[3000]));
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 10, "each trace's 5 frames miss once");
+        assert_eq!(stats.bytes, 10_000 * 8);
+        std::fs::remove_dir_all(&dir_a).unwrap();
+        std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn corrupt_first_frame_inserts_nothing_and_latches() {
+        let addrs: Vec<u64> = (0..300_000u64).map(|i| i.wrapping_mul(0x517C)).collect();
+        let dir = tmp("cached-corrupt");
+        write_segmented(&dir, &addrs, "lz", 1000);
+        let table = load_seek_table(&dir, &AtcReader::open(&dir).unwrap().meta).unwrap();
+        let first = table.segments()[0];
+        let data_path = dir.join(format::DATA_FILE);
+        let mut data = std::fs::read(&data_path).unwrap();
+        data[(first.file_offset + first.compressed_len / 2) as usize] ^= 0x40;
+        std::fs::write(&data_path, &data).unwrap();
+
+        let cache = SegmentCache::isolated(64 << 20);
+        let mut r = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+        assert!(r.next_frame().is_err());
+        for _ in 0..3 {
+            assert!(r.next_frame().is_err(), "the error latches");
+            assert!(r.decode().is_err(), "the error latches");
+        }
+        assert_eq!(cache.stats().bytes, 0, "a failed parse inserts nothing");
+        // A seek into the corrupt segment fails the same way.
+        let mut r = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+        assert!(r.seek_to_value(10).is_err());
+        assert!(r.decode().is_err());
+        assert_eq!(cache.stats().bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cap_below_one_frame_caches_nothing_and_reads_correctly() {
+        let addrs: Vec<u64> = (0..20_500u64).map(|i| i * 8).collect();
+        let dir = tmp("cached-tiny-cap");
+        write_segmented(&dir, &addrs, "lz", 1000);
+        // A 1000-address frame charges 8000 bytes; only the tail fits.
+        let cache = SegmentCache::isolated(7_999);
+        for _ in 0..2 {
+            let mut r = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+            assert_eq!(r.decode_all().unwrap(), addrs);
+            r.seek_to_value(12_345).unwrap();
+            assert_eq!(r.decode_all().unwrap(), &addrs[12_345..]);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.bytes, 500 * 8, "only the 500-address tail frame fits");
+        assert_eq!(stats.evictions, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

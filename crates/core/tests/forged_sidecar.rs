@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use atc_cache::SegmentCache;
-use atc_codec::{crc, varint};
-use atc_core::format::{SeekTable, SEEK_FILE};
+use atc_codec::{codec_by_name, crc, varint, CodecWriter};
+use atc_core::format::{self, Meta, SeekTable, DATA_FILE, META_FILE, SEEK_FILE};
 use atc_core::{AtcOptions, AtcReader, AtcWriter, Mode, ReadOptions, Result};
 
 const BUFFER: usize = 1000;
@@ -61,6 +61,25 @@ fn forge(dir: &Path, lens: &[(u64, u64)]) {
     let crc = crc::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     std::fs::write(dir.join(SEEK_FILE), out).unwrap();
+}
+
+/// Rewrites the trace's payload as `frames` (empty ones included) with a
+/// sidecar and `meta` that agree with it — a consistent trace whose
+/// frame layout the writer would never produce.
+fn rewrite_frames(dir: &Path, frames: &[&[u64]]) {
+    let codec = Arc::from(codec_by_name("lz").unwrap());
+    let mut w = CodecWriter::new(Vec::new(), codec);
+    for frame in frames {
+        format::write_frame(&mut w, frame).unwrap();
+    }
+    let (data, segments) = w.finish_with_segments().unwrap();
+    std::fs::write(dir.join(DATA_FILE), data).unwrap();
+    let table = SeekTable::from_records(segments).unwrap();
+    std::fs::write(dir.join(SEEK_FILE), table.encode()).unwrap();
+    let meta_path = dir.join(META_FILE);
+    let mut meta = Meta::parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+    meta.seek_segments = Some(table.len() as u64);
+    std::fs::write(&meta_path, meta.to_text()).unwrap();
 }
 
 /// One way of reading the trace under test.
@@ -161,5 +180,36 @@ fn inflated_raw_len_is_an_error_not_an_allocation() {
     check(&dir, &addrs, false, "inflated raw_len");
     assert!(via_seek(&dir).is_err());
     assert!(via_cache_linear(&dir).is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn empty_frames_read_like_the_linear_path() {
+    let dir = scratch("empty-frames");
+    let addrs = build(&dir);
+    let mut frames: Vec<&[u64]> = addrs.chunks(BUFFER).collect();
+    // A trailing empty frame: the reader must end cleanly (every later
+    // call too), not re-parse it forever.
+    frames.push(&[]);
+    rewrite_frames(&dir, &frames);
+    let linear = |dir: &Path| AtcReader::open(dir)?.decode_all();
+    assert_eq!(linear(&dir).unwrap(), addrs);
+    check(&dir, &addrs, true, "trailing empty frame");
+    let mut r = AtcReader::open_with(&dir, cached()).unwrap();
+    assert_eq!(r.decode_all().unwrap(), addrs);
+    for _ in 0..3 {
+        assert_eq!(r.decode().unwrap(), None);
+        assert!(r.next_frame().unwrap().is_none());
+    }
+
+    // A mid-trace empty frame: linear reads through it, with or without
+    // a cache. It shifts every later frame's raw offset, so a seek past
+    // it may fail, but must not return wrong values.
+    frames.pop();
+    frames.insert(3, &[]);
+    rewrite_frames(&dir, &frames);
+    assert_eq!(linear(&dir).unwrap(), addrs);
+    assert_eq!(via_cache_linear(&dir).unwrap(), addrs);
+    check(&dir, &addrs, false, "mid-trace empty frame");
     std::fs::remove_dir_all(&dir).unwrap();
 }

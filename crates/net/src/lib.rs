@@ -20,8 +20,9 @@
 //!   the worker count bounds concurrent connections without a
 //!   thread-per-connection explosion;
 //! * every connection's reader shares one
-//!   [`SegmentCache`](atc_cache::SegmentCache), so concurrent clients
-//!   hitting the same region decode each segment once;
+//!   [`SegmentCache`](atc_cache::SegmentCache) of decoded frames, so
+//!   concurrent clients hitting the same region decode and un-bytesort
+//!   each frame once;
 //! * each connection meters its decoded-but-unsent bytes through a
 //!   [`ByteBudget`](atc_codec::ByteBudget) send window, so a slow or
 //!   stalled client bounds its own memory and eventually gets dropped

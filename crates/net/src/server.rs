@@ -37,7 +37,10 @@ pub struct ServeOptions {
     /// writes. A peer that stalls past it loses its connection; *idle*
     /// connections (between requests) are not subject to it.
     pub io_timeout: Duration,
-    /// Decoded-segment cache shared by every connection's reader.
+    /// Decoded-frame cache shared by every connection's reader (the
+    /// field and type names predate the unit: it once held decoded
+    /// segment bytes), so a range another connection already read is a
+    /// pointer clone per shard, not a decode plus a bytesort inverse.
     /// `None` uses [`SegmentCache::global`]; tests and embedders inject
     /// an isolated instance ([`SegmentCache::isolated`]) so the stats
     /// the server reports are its own traffic only.
@@ -74,8 +77,9 @@ pub struct ServerStats {
     /// Connections dropped for I/O trouble (timeouts, resets, stalled
     /// readers, mid-stream failures).
     pub dropped: u64,
-    /// Segment-cache traffic attributable to this server (delta since
-    /// bind; cross-connection reuse shows up as `cache.hits`).
+    /// Frame-cache traffic attributable to this server (delta since
+    /// bind; one lookup per frame, cross-connection reuse shows up as
+    /// `cache.hits`).
     pub cache: SegmentCacheStats,
 }
 

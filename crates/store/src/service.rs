@@ -9,8 +9,8 @@
 //! That makes the service trivially `Send + Sync` (hand one `Arc` to N
 //! connection tasks) while the shared
 //! [`SegmentCache`](ReadOptions::segment_cache) keeps repeat opens cheap:
-//! the segment a request decodes to reach its range is a cache hit for
-//! every later request near it, across connections.
+//! every frame a request decodes is a cache hit for every later request
+//! that touches it, across connections.
 //!
 //! Responses are produced in *chunks* through a callback rather than one
 //! flat vector, so a network server can bound its decoded-but-unsent
@@ -74,7 +74,7 @@ impl StoreService {
     /// Opens a service over `root`; `options` is the template every
     /// per-request reader opens with (share a
     /// [`segment_cache`](ReadOptions::segment_cache) here to make
-    /// concurrent requests reuse each other's decode work).
+    /// concurrent requests reuse each other's decoded frames).
     ///
     /// The store is fully opened once up front, so a bad manifest or
     /// unreadable shard fails here, not on the first request.
@@ -254,6 +254,7 @@ mod tests {
     use crate::policy::ShardPolicy;
     use crate::writer::{AtcStore, StoreOptions};
     use atc_core::{AtcOptions, Mode};
+    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("atc-store-svc-{name}-{}", std::process::id()));
@@ -313,6 +314,46 @@ mod tests {
                 .unwrap();
             assert_eq!(got, expect, "range {a}..{b}");
             assert_eq!(chunks, (b - a).div_ceil(100) as usize, "range {a}..{b}");
+        }
+    }
+
+    #[test]
+    fn warm_cached_ranges_match_reader_read_range() {
+        for (tag, policy) in [
+            ("cached-rr", ShardPolicy::RoundRobin),
+            ("cached-addr", ShardPolicy::AddressRange { shift: 14 }),
+        ] {
+            let root = tmp(tag);
+            build(&root, 3, policy, 8000);
+            let cache = atc_cache::SegmentCache::isolated(64 << 20);
+            let options = ReadOptions {
+                segment_cache: Some(Arc::clone(&cache)),
+                ..ReadOptions::default()
+            };
+            let service = StoreService::open_with(&root, options).unwrap();
+            let mut reader = StoreReader::open(&root).unwrap();
+            let ranges = [(0u64, 1u64), (0, 500), (777, 3003), (7999, 8000), (42, 42)];
+            // Pass 0 fills the cache, pass 1 reads every range warm.
+            for pass in 0..2 {
+                let before = cache.stats();
+                for (a, b) in ranges {
+                    let expect = reader.read_range(a..b).unwrap();
+                    let mut got = Vec::new();
+                    service
+                        .read_range_chunked(a..b, 100, |c| {
+                            got.extend_from_slice(c);
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert_eq!(got, expect, "{tag} pass {pass} range {a}..{b}");
+                }
+                if pass == 1 {
+                    let warm = cache.stats().since(&before);
+                    assert!(warm.hits > 0, "{tag}: warm ranges hit");
+                    assert_eq!(warm.misses, 0, "{tag}: every frame was cached");
+                }
+            }
+            std::fs::remove_dir_all(&root).unwrap();
         }
     }
 

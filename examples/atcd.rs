@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         stats.connections, stats.requests, stats.proto_errors, stats.dropped
     );
     eprintln!(
-        "atcd: segment cache {} hits, {} misses, {} evictions",
+        "atcd: frame cache {} frame hits, {} frame misses, {} evictions",
         stats.cache.hits, stats.cache.misses, stats.cache.evictions
     );
     Ok(())

@@ -11,7 +11,7 @@
 //! seek to that frame through the seek sidecar (decoding at most one
 //! segment before the target; linear fallback with a warning on traces
 //! without a sidecar), then dump the remaining addresses as raw
-//! little-endian 64-bit values on stdout. Segment-cache and decode
+//! little-endian 64-bit values on stdout. Frame-cache and decode
 //! counters go to stderr.
 //!
 //! ```text
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         let s = cache.stats();
         eprintln!(
-            "segment cache: {} hits, {} misses, {} evictions, {}/{} bytes",
+            "frame cache: {} frame hits, {} frame misses, {} evictions, {}/{} bytes",
             s.hits, s.misses, s.evictions, s.bytes, s.cap
         );
         return Ok(());

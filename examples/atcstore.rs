@@ -115,20 +115,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             stats.tasks_run, stats.steals, stats.scratch_reused, stats.scratch_fresh
         );
     };
+    // Full scans (`unpack`, the `stat` drain) read every frame once, so
+    // they attach no frame cache: it could only add a copy per frame,
+    // and they keep the `--threads` readahead of the linear path.
     let read_options = || ReadOptions {
         threads,
         engine: engine.clone(),
-        // The process-wide decoded-segment cache: shards carrying a seek
-        // sidecar decode each hot segment at most once per process.
-        segment_cache: Some(SegmentCache::global()),
         ..ReadOptions::default()
-    };
-    let print_cache_stats = || {
-        let s = SegmentCache::global().stats();
-        eprintln!(
-            "segment cache: {} hits, {} misses, {} evictions, {}/{} bytes",
-            s.hits, s.misses, s.evictions, s.bytes, s.cap
-        );
     };
 
     match command.as_str() {
@@ -243,7 +236,13 @@ fn main() -> Result<(), Box<dyn Error>> {
                 .ok_or("--range takes A..B, e.g. --range 1000..2000")?;
             let start: u64 = a.parse().map_err(|_| "--range start is not a number")?;
             let end: u64 = b.parse().map_err(|_| "--range end is not a number")?;
-            let mut r = StoreReader::open_with(&root, read_options())?;
+            // The process-wide decoded-frame cache: shards carrying a seek
+            // sidecar decode each frame the range touches at most once.
+            let options = ReadOptions {
+                segment_cache: Some(SegmentCache::global()),
+                ..read_options()
+            };
+            let mut r = StoreReader::open_with(&root, options)?;
             let window = r.read_range(start..end)?;
             let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
             for v in &window {
@@ -251,7 +250,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             }
             stdout.flush()?;
             eprintln!("read {} addresses from {start}..{end}", window.len());
-            print_cache_stats();
+            let s = SegmentCache::global().stats();
+            eprintln!(
+                "frame cache: {} frame hits, {} frame misses, {} evictions, {}/{} bytes",
+                s.hits, s.misses, s.evictions, s.bytes, s.cap
+            );
             if let Some(engine) = &engine {
                 print_engine_stats(engine.stats());
             }
@@ -310,7 +313,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                     start.elapsed()
                 );
                 print_engine_stats(engine.stats());
-                print_cache_stats();
             }
         }
         _ => return Err(USAGE.into()),
@@ -363,7 +365,7 @@ fn fetch(args: &[String]) -> Result<(), Box<dyn Error>> {
     stdout.flush()?;
     let stat = client.stat()?;
     eprintln!(
-        "server: {} addresses over {} shards ({}), cache {} hits / {} misses",
+        "server: {} addresses over {} shards ({}), frame cache {} hits / {} misses",
         stat.count,
         stat.shard_counts.len(),
         stat.policy,
