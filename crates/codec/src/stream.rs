@@ -117,6 +117,8 @@ pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::
     })?;
     while packed.len() < seg_len {
         let filled = packed.len();
+        // bounded: DEFAULT_SEGMENT_SIZE more bytes per step, each step
+        // filled by bytes that really arrived before the next one.
         packed.resize(filled + (seg_len - filled).min(DEFAULT_SEGMENT_SIZE), 0);
         inner.read_exact(&mut packed[filled..])?;
     }

@@ -162,10 +162,10 @@ proptest! {
     }
 
     // Forced-stealing byte identity: an injected engine whose home worker
-    // is buried under junk tasks makes the writer's segments get *stolen*
-    // by the other workers, and the output must still be byte-identical
-    // to the inline stream at every worker count. This pins the lock-free
-    // deque path (owner pop vs thief CAS) to on-disk bytes.
+    // is parked on a gate makes the writer's segments get *stolen* by the
+    // other workers, and the output must still be byte-identical to the
+    // inline stream at every worker count. This pins the lock-free deque
+    // path (owner pop vs thief CAS) to on-disk bytes.
     #[test]
     fn forced_stealing_keeps_streams_byte_identical(
         data in vec(any::<u8>(), 0..20_000),
@@ -177,11 +177,20 @@ proptest! {
 
         for workers in test_threads() {
             let engine = atc_engine::Engine::new(workers);
-            // Bury home 0 — the home the writer below will be assigned —
-            // so its segment tasks queue behind junk and idle workers
-            // must steal them to keep the stream moving.
-            for _ in 0..64 {
-                engine.submit(0, || std::thread::sleep(std::time::Duration::from_micros(50)));
+            // Park a worker of home 0 — the home the writer below will be
+            // assigned — on a gate until the stream is finished. If home
+            // 0's own worker took the gate task, every segment task must
+            // be stolen; if another worker stole the gate task, that was
+            // a steal. (With one worker the gate would starve the writer.)
+            let (parked_tx, parked) = std::sync::mpsc::channel();
+            let (gate, gate_rx) = std::sync::mpsc::channel::<()>();
+            if workers > 1 {
+                engine.submit(0, move || {
+                    parked_tx.send(()).unwrap();
+                    // Returns once the test drops `gate`.
+                    let _ = gate_rx.recv();
+                });
+                parked.recv().unwrap();
             }
             let mut w = CodecWriter::with_engine(
                 Vec::new(),
@@ -191,11 +200,13 @@ proptest! {
                 engine.clone(),
             );
             w.write_all(&data).unwrap();
-            let (file, segments) = w.finish_with_segments().unwrap();
+            let finished = w.finish_with_segments();
+            drop(gate);
+            let (file, segments) = finished.unwrap();
             prop_assert_eq!(&file, &serial_file, "stream bytes, workers={}", workers);
             prop_assert_eq!(&segments, &serial_segments, "records, workers={}", workers);
             if workers > 1 && !data.is_empty() {
-                // The junk backlog guarantees contention; with several
+                // The parked worker guarantees contention; with several
                 // workers some of it must have been stolen.
                 prop_assert!(engine.stats().steals > 0, "no steals at workers={}", workers);
             }

@@ -381,18 +381,28 @@ impl Meta {
                 .parse()
                 .map_err(|_| AtcError::Format(format!("meta key {k:?} is not an integer")))
         };
-        // No writer can produce a zero buffer, and frame arithmetic
-        // (seek) divides by it.
+        // No writer can produce a zero buffer, a buffer above the frame
+        // cap or a lossy zero interval, and frame arithmetic (seek)
+        // divides by the frame length.
         let buffer = parse_u64("buffer")?;
-        if buffer == 0 {
-            return Err(AtcError::Format("meta records buffer=0".into()));
+        if buffer == 0 || buffer > FRAME_MAX_ADDRS {
+            return Err(AtcError::Format(format!(
+                "meta records buffer={buffer}, outside 1..={FRAME_MAX_ADDRS}"
+            )));
+        }
+        let mode = get("mode")?;
+        let interval_len = parse_u64("interval_len")?;
+        if mode == "lossy" && interval_len == 0 {
+            return Err(AtcError::Format(
+                "meta records a lossy trace with interval_len=0".into(),
+            ));
         }
         Ok(Meta {
             version: parse_u64("version")? as u32,
-            mode: get("mode")?,
+            mode,
             codec: get("codec")?,
             buffer,
-            interval_len: parse_u64("interval_len")?,
+            interval_len,
             threshold: get("threshold")?
                 .parse()
                 .map_err(|_| AtcError::Format("meta key \"threshold\" is not a number".into()))?,
@@ -1800,11 +1810,23 @@ mod tests {
     fn meta_missing_key() {
         assert!(Meta::parse("version=1\n").is_err());
         assert!(Meta::parse("not a line\n").is_err());
-        let err = Meta::parse("version=1\nmode=lossless\ncodec=bzip\nbuffer=0\ninterval_len=0\nthreshold=0\ncount=0\nchunks=0\n").unwrap_err();
-        assert!(
-            matches!(&err, AtcError::Format(m) if m.contains("buffer=0")),
-            "{err}"
-        );
+        let meta = |mode: &str, buffer: u64, interval_len: u64| {
+            Meta::parse(&format!("version=1\nmode={mode}\ncodec=bzip\nbuffer={buffer}\ninterval_len={interval_len}\nthreshold=0\ncount=0\nchunks=0\n"))
+        };
+        for (mode, buffer, interval_len, needle) in [
+            ("lossless", 0, 0, "buffer=0"),
+            ("lossless", u64::MAX, 0, "buffer=18446744073709551615"),
+            ("lossy", FRAME_MAX_ADDRS + 1, 10, "buffer=16777217"),
+            ("lossy", 1000, 0, "interval_len=0"),
+        ] {
+            let err = meta(mode, buffer, interval_len).unwrap_err();
+            assert!(
+                matches!(&err, AtcError::Format(m) if m.contains(needle)),
+                "{err}"
+            );
+        }
+        assert!(meta("lossless", FRAME_MAX_ADDRS, 0).is_ok());
+        assert!(meta("lossy", 1000, 1).is_ok());
     }
 
     #[test]

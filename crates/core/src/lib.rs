@@ -61,6 +61,6 @@ mod writer;
 pub use error::{AtcError, Result};
 pub use format::{FrameReadStats, StoreManifest};
 pub use lossy::{Classification, LossyConfig, PhaseClassifier};
-pub use reader::{AtcReader, ReadOptions, DEFAULT_CHUNK_CACHE};
+pub use reader::{AtcReader, ReadOptions};
 pub use verify::{verify, VerifyReport};
 pub use writer::{AtcOptions, AtcStats, AtcWriter, Mode};

@@ -13,29 +13,22 @@ use atc_engine::Engine;
 use crate::bytesort::BytesortInverse;
 use crate::error::{AtcError, Result};
 use crate::format::{self, FrameReadStats, IntervalRecord, Meta};
-use crate::hist::{translate_addr, Translation, COLUMNS};
-
-/// Default number of decompressed chunks kept in memory.
-///
-/// Runs of imitations of the same chunk then decode at translate speed
-/// without re-reading the chunk file.
-pub const DEFAULT_CHUNK_CACHE: usize = 8;
+use crate::hist::translate_addr;
 
 /// Tuning knobs for [`AtcReader::open_with`].
 #[derive(Debug, Clone)]
 pub struct ReadOptions {
-    /// Decompressed chunks kept in memory (see [`DEFAULT_CHUNK_CACHE`]).
-    pub chunk_cache: usize,
     /// Decompression parallelism. `0`/`1` decode on the calling thread
-    /// (the original behavior); `n > 1` reads payload streams through a
-    /// consumer-driven readahead window: whenever `decode`/`decode_all`
-    /// need the next segment, the calling thread first frames further
-    /// segments off the file and submits their decodes as engine tasks
-    /// until `2n` are undelivered (no batch barrier, no extra thread),
-    /// then takes the next one in stream order — so up to `n` segments
-    /// decompress concurrently with the consumer, and a reader nobody
-    /// reads from holds at most one window. Works on any trace — the
-    /// on-disk format does not record thread counts.
+    /// (the original behavior); `n > 1` reads payload streams (and lossy
+    /// chunk files) through a consumer-driven readahead window: whenever
+    /// `decode`/`decode_all` need the next segment, the calling thread
+    /// first frames further segments off the file and submits their
+    /// decodes as engine tasks until `2n` are undelivered (no batch
+    /// barrier, no extra thread), then takes the next one in stream
+    /// order — so up to `n` segments decompress concurrently with the
+    /// consumer, and a reader nobody reads from holds at most one window.
+    /// Works on any trace — the on-disk format does not record thread
+    /// counts.
     pub threads: usize,
     /// Explicit execution engine for the decode tasks. `None` (the
     /// default) uses the process-wide engine, grown to at least
@@ -43,23 +36,25 @@ pub struct ReadOptions {
     /// store) inject one so many readers share a worker set and isolated
     /// counters.
     pub engine: Option<Engine>,
-    /// Decoded-frame cache for lossless traces that carry a seek
-    /// sidecar (the field and type names predate the unit: it once held
-    /// decoded segment bytes). When set (usually to
-    /// [`SegmentCache::global`]), every frame is looked up by number
-    /// before anything is decoded, and a miss inserts the frame it
+    /// Decoded-frame cache (the type name predates the unit: it once
+    /// held decoded segment bytes), usually [`SegmentCache::global`].
+    /// A lossless trace with a seek sidecar looks every frame up by
+    /// number before anything is decoded, and a miss inserts the frame it
     /// parsed — so each frame is decoded and un-bytesorted at most once
     /// per process while cached, every reader of a hot trace reuses the
     /// others' work, and a warm [`AtcReader::seek`] opens no payload
-    /// file at all. Traces without a sidecar ignore this and read
-    /// linearly.
+    /// file at all; lossless traces without a sidecar ignore the cache
+    /// and read linearly. A lossy trace keeps its decoded chunks here,
+    /// keyed by each chunk file's own trace id, so they never alias a
+    /// lossless frame. `None`: lossless traces read uncached, and a
+    /// lossy reader gets a private cache of eight intervals
+    /// (`8 × interval_len × 8` bytes).
     pub segment_cache: Option<Arc<SegmentCache>>,
 }
 
 impl Default for ReadOptions {
     fn default() -> Self {
         Self {
-            chunk_cache: DEFAULT_CHUNK_CACHE,
             threads: 1,
             engine: None,
             segment_cache: None,
@@ -67,22 +62,31 @@ impl Default for ReadOptions {
     }
 }
 
-/// Opens a payload stream read front to back through the one
-/// codec-stream reader (inline, or decoding ahead on the engine). Open
-/// failures keep their `io::Error` (so callers can still distinguish
-/// e.g. `NotFound`) — wrap with context at the call site where useful.
-fn open_linear(
-    path: &Path,
-    codec: &Arc<dyn Codec>,
+/// Where a reader's bytes come from and how they decode: the trace
+/// directory, its codec, and the [`ReadOptions`] parallelism every
+/// front-to-back stream (payload, lossy chunk files) is opened with.
+#[derive(Debug)]
+struct Source {
+    dir: PathBuf,
+    codec: Arc<dyn Codec>,
     threads: usize,
-    engine: Option<&Engine>,
-) -> std::io::Result<CodecReader<BufReader<File>>> {
-    let file = BufReader::new(File::open(path)?);
-    let codec = Arc::clone(codec);
-    Ok(match engine {
-        Some(e) => CodecReader::with_engine(file, codec, threads, e.clone()),
-        None => CodecReader::with_threads(file, codec, threads),
-    })
+    engine: Option<Engine>,
+}
+
+impl Source {
+    /// Opens the trace's file `name` read front to back through the one
+    /// codec-stream reader (inline, or decoding ahead on the engine).
+    /// Open failures keep their `io::Error` (so callers can still
+    /// distinguish e.g. `NotFound`) — wrap with context at the call site
+    /// where useful.
+    fn open_linear(&self, name: &str) -> std::io::Result<CodecReader<BufReader<File>>> {
+        let file = BufReader::new(File::open(self.dir.join(name))?);
+        let codec = Arc::clone(&self.codec);
+        Ok(match &self.engine {
+            Some(e) => CodecReader::with_engine(file, codec, self.threads, e.clone()),
+            None => CodecReader::with_threads(file, codec, self.threads),
+        })
+    }
 }
 
 /// Upper bound on the up-front reservation for one decoded segment. Every
@@ -112,23 +116,6 @@ struct TableSegmentStream {
 }
 
 impl TableSegmentStream {
-    /// Opens trace `dir`'s payload file for reading by `table`.
-    fn open(
-        dir: &Path,
-        codec: &Arc<dyn Codec>,
-        table: Arc<format::SeekTable>,
-    ) -> std::io::Result<Self> {
-        Ok(Self {
-            file: File::open(dir.join(format::DATA_FILE))?,
-            codec: Arc::clone(codec),
-            table,
-            current: Vec::new(),
-            pos: 0,
-            next_seg: 0,
-            decoded: 0,
-        })
-    }
-
     /// Reads and decodes segment `idx`.
     fn load_segment(&mut self, idx: usize) -> std::io::Result<Vec<u8>> {
         let rec = self.table.segments()[idx];
@@ -147,6 +134,8 @@ impl TableSegmentStream {
                 cur.len()
             )));
         }
+        // bounded: SEGMENT_PREALLOC_CAP up front; the decode checks the
+        // declared raw_len after it.
         let mut raw = Vec::with_capacity(rec.raw_len.min(SEGMENT_PREALLOC_CAP as u64) as usize);
         self.codec
             .decompress_into(cur, &mut raw)
@@ -166,19 +155,11 @@ impl TableSegmentStream {
     /// payload, loading at most the one segment containing it — none
     /// when that segment is the one already loaded.
     fn seek_to_raw(&mut self, raw_offset: u64) -> std::io::Result<()> {
-        if raw_offset >= self.table.total_raw_bytes() {
-            self.current = Vec::new();
-            self.pos = 0;
-            self.next_seg = self.table.len();
-            return Ok(());
-        }
-        let idx = self
-            .table
-            .locate(raw_offset)
-            // atclint: allow(library-unwrap) -- infallible: the early
-            // return above handles raw_offset >= total_raw_bytes, and
-            // locate() covers every offset below that.
-            .expect("raw_offset below total_raw_bytes always lands in a segment");
+        let idx = self.table.locate(raw_offset).ok_or_else(|| {
+            invalid_data(format!(
+                "raw offset {raw_offset} is past the sidecar's segments"
+            ))
+        })?;
         if self.current.is_empty() || self.next_seg != idx + 1 {
             self.current = self.load_segment(idx)?;
         }
@@ -235,8 +216,6 @@ impl BufRead for TableSegmentStream {
 struct SidecarFrames {
     /// The cache and this trace's id in its keys.
     cache: Option<(Arc<SegmentCache>, u64)>,
-    dir: PathBuf,
-    codec: Arc<dyn Codec>,
     table: Arc<format::SeekTable>,
     /// The payload stream and the frame number its next parse yields:
     /// opened on the first miss, dropped by every seek.
@@ -248,16 +227,9 @@ struct SidecarFrames {
 }
 
 impl SidecarFrames {
-    fn new(
-        cache: Option<Arc<SegmentCache>>,
-        dir: &Path,
-        codec: &Arc<dyn Codec>,
-        table: Arc<format::SeekTable>,
-    ) -> Self {
+    fn new(cache: Option<Arc<SegmentCache>>, dir: &Path, table: Arc<format::SeekTable>) -> Self {
         Self {
             cache: cache.map(|c| (c, trace_id(dir))),
-            dir: dir.to_path_buf(),
-            codec: Arc::clone(codec),
             table,
             stream: None,
             shared: None,
@@ -274,6 +246,7 @@ impl SidecarFrames {
         &mut self,
         meta: &Meta,
         produced: u64,
+        source: &Source,
         inverse: &mut BytesortInverse,
         scratch: &mut Vec<u8>,
         stats: &mut FrameReadStats,
@@ -305,9 +278,15 @@ impl SidecarFrames {
                 }
                 let mut stream = match old {
                     Some((stream, _)) => stream,
-                    None => {
-                        TableSegmentStream::open(&self.dir, &self.codec, Arc::clone(&self.table))?
-                    }
+                    None => TableSegmentStream {
+                        file: File::open(source.dir.join(format::DATA_FILE))?,
+                        codec: Arc::clone(&source.codec),
+                        table: Arc::clone(&self.table),
+                        current: Vec::new(),
+                        pos: 0,
+                        next_seg: 0,
+                        decoded: 0,
+                    },
                 };
                 stream.seek_to_raw(raw)?;
                 stream
@@ -344,19 +323,161 @@ impl SidecarFrames {
         Ok(Some(frame.len()))
     }
 
-    /// The current frame (after a successful [`SidecarFrames::advance`]).
-    fn current<'a>(&'a self, inverse: &'a BytesortInverse) -> Result<&'a [u64]> {
-        match &self.shared {
-            Some(frame) => Ok(frame),
-            None => inverse.finish(),
-        }
-    }
-
     /// Segments decoded since open or the last seek (cache hits decode
     /// nothing).
     fn segments_decoded(&self) -> u64 {
         self.stream.as_ref().map_or(0, |(s, _)| s.decoded)
     }
+}
+
+/// Interval-at-a-time access to a lossy trace: interval `k` is the
+/// trace's frame `k`. Every interval but the last is `interval_len`
+/// addresses long, so interval `k` starts at address `k × interval_len`
+/// and a seek is arithmetic, exactly as for lossless frames. The chunks
+/// the intervals name are entries of the reader's [`SegmentCache`],
+/// keyed `(trace_id(chunk file), 0)`, so a chunk never aliases a
+/// lossless frame.
+#[derive(Debug)]
+struct LossyFrames {
+    /// The interval trace, decoded and validated at open: interval `k`
+    /// is `records[k]`.
+    records: Vec<IntervalRecord>,
+    cache: Arc<SegmentCache>,
+    /// The chunk the current interval reads, kept so a run of imitations
+    /// of one chunk never decodes it again, even when the cache cannot
+    /// admit it.
+    last: Option<(u64, Arc<[u64]>)>,
+    /// Whether the current interval is `last`'s chunk as stored (a new
+    /// chunk, or an imitation without translations); otherwise the
+    /// reader's `frame` buffer holds the translated copy.
+    shared: bool,
+}
+
+impl LossyFrames {
+    /// Makes the interval starting at trace address `produced` current
+    /// and returns its length; `Ok(None)` past the last interval.
+    /// `produced` is always interval-aligned (or the trace's count) here.
+    fn advance(
+        &mut self,
+        meta: &Meta,
+        produced: u64,
+        source: &Source,
+        inverse: &mut BytesortInverse,
+        scratch: &mut Vec<u8>,
+        frame: &mut Vec<u64>,
+    ) -> Result<Option<usize>> {
+        // Nonzero: `Meta::parse` refuses a lossy interval_len=0.
+        let k = usize::try_from(produced.div_ceil(meta.interval_len)).unwrap_or(usize::MAX);
+        let Some(record) = self.records.get(k) else {
+            return Ok(None);
+        };
+        let (IntervalRecord::NewChunk { chunk_id: id, .. }
+        | IntervalRecord::Imitate { chunk_id: id, .. }) = *record;
+        let chunk = match &self.last {
+            Some((last, chunk)) if *last == id => Arc::clone(chunk),
+            _ => {
+                // `load_intervals` checked every interval's length.
+                let len = (meta.count - produced).min(meta.interval_len);
+                let name = format::chunk_file_name(id);
+                let key = (trace_id(&source.dir.join(&name)), 0);
+                let chunk = match self.cache.get(key).filter(|c| c.len() as u64 == len) {
+                    Some(chunk) => chunk,
+                    None => {
+                        let chunk = decode_chunk(source, &name, len, inverse, scratch)?;
+                        self.cache.insert(key, Arc::clone(&chunk));
+                        chunk
+                    }
+                };
+                self.last = Some((id, Arc::clone(&chunk)));
+                chunk
+            }
+        };
+        self.shared = match &self.records[k] {
+            IntervalRecord::Imitate { translations, .. }
+                if translations.iter().any(Option::is_some) =>
+            {
+                frame.clear();
+                frame.extend(chunk.iter().map(|&a| translate_addr(a, translations)));
+                false
+            }
+            _ => true,
+        };
+        Ok(Some(chunk.len()))
+    }
+}
+
+/// Decodes chunk file `name`, which must hold exactly `len` addresses.
+fn decode_chunk(
+    source: &Source,
+    name: &str,
+    len: u64,
+    inverse: &mut BytesortInverse,
+    scratch: &mut Vec<u8>,
+) -> Result<Arc<[u64]>> {
+    let mut stream = source.open_linear(name).map_err(|e| {
+        AtcError::Format(format!("cannot open {}/{name}: {e}", source.dir.display()))
+    })?;
+    // bounded: FRAME_MAX_ADDRS addresses up front at most; the loop
+    // stops one frame past the interval's validated length `len`.
+    let mut addrs = Vec::with_capacity(len.min(format::FRAME_MAX_ADDRS) as usize);
+    let mut stats = FrameReadStats::default();
+    while (addrs.len() as u64) <= len
+        && format::read_frame_borrowed(&mut stream, inverse, scratch, &mut stats)?
+    {
+        addrs.extend_from_slice(inverse.finish()?);
+    }
+    if addrs.len() as u64 != len {
+        return Err(AtcError::Format(format!(
+            "{name} holds {} addresses where its interval holds {len}",
+            addrs.len()
+        )));
+    }
+    // One copy per chunk load, where every interval used to be one.
+    Ok(Arc::from(addrs))
+}
+
+/// Decodes and validates a lossy trace's interval trace once, at open.
+/// Interval `k` must hold exactly `min(L, count − k·L)` addresses, so
+/// there are ⌈count / L⌉ of them — the cap on the records kept — and
+/// their lengths sum to `count`. Stored chunks are numbered in order, and
+/// an imitation names a chunk an earlier interval stored. That chunk is
+/// then a full `L` long: a shorter one would have had to be the last.
+fn load_intervals(source: &Source, meta: &Meta) -> Result<Vec<IntervalRecord>> {
+    // Nonzero: `Meta::parse` refuses a lossy interval_len=0.
+    let (l, count) = (meta.interval_len, meta.count);
+    let cap = count.div_ceil(l);
+    let file = BufReader::new(File::open(source.dir.join(format::INFO_FILE))?);
+    // The interval trace is tiny: always decoded inline.
+    let mut info = CodecReader::new(file, Arc::clone(&source.codec));
+    // bounded: 1024 records up front at most; the loop refuses record
+    // `cap` + 1, and each record is at least 3 bytes of `info.atc`.
+    let mut records = Vec::with_capacity(cap.min(1024) as usize);
+    let mut chunks = 0u64;
+    while let Some(record) = IntervalRecord::read(&mut info)? {
+        let k = records.len() as u64;
+        let (id, len, stored) = match record {
+            IntervalRecord::NewChunk { chunk_id, len } => {
+                chunks += 1;
+                (chunk_id, len, chunk_id == chunks - 1)
+            }
+            IntervalRecord::Imitate { chunk_id, .. } => (chunk_id, l, chunk_id < chunks),
+        };
+        // `k < cap` means `k·L < count`.
+        if !stored || k == cap || len != (count - k * l).min(l) {
+            return Err(AtcError::Format(format!(
+                "interval {k} (chunk {id}, {len} addresses) does not fit an interval trace \
+                 of {count} addresses in intervals of {l} with chunks stored in order"
+            )));
+        }
+        records.push(record);
+    }
+    if records.len() as u64 != cap {
+        return Err(AtcError::Format(format!(
+            "interval trace covers {} of {count} addresses",
+            (records.len() as u64).saturating_mul(l).min(count)
+        )));
+    }
+    Ok(records)
 }
 
 /// A streaming ATC decompressor over a trace directory.
@@ -386,8 +507,7 @@ impl SidecarFrames {
 #[derive(Debug)]
 pub struct AtcReader {
     meta: Meta,
-    dir: PathBuf,
-    codec: Arc<dyn Codec>,
+    source: Source,
     state: State,
     /// Addresses in the frames parsed so far (or skipped by a seek).
     produced: u64,
@@ -397,7 +517,7 @@ pub struct AtcReader {
     /// Streaming bytesort decoder; its output buffer is the current frame
     /// of a lossless trace.
     inverse: BytesortInverse,
-    /// The current frame of a lossy trace (one materialized interval).
+    /// The current interval of a lossy trace when it is translated.
     frame: Vec<u64>,
     /// Scratch for columns that straddle a segment boundary.
     col_scratch: Vec<u8>,
@@ -408,10 +528,6 @@ pub struct AtcReader {
     /// byte stream mid-frame, so anything "decoded" past it would be
     /// garbage that happens to parse — fail fast instead.
     poisoned: Option<String>,
-    /// Retained [`ReadOptions`] so [`AtcReader::seek`] can rebuild the
-    /// payload stream the way it was opened.
-    threads: usize,
-    engine: Option<Engine>,
     /// Set once [`load_seek_table`] found no usable sidecar, so later
     /// seeks neither re-read it nor re-validate it. (A usable one lives
     /// in [`State::Sidecar`] from then on.)
@@ -427,10 +543,8 @@ enum State {
     /// Lossless, read frame by frame off a usable seek sidecar: opened
     /// with a [`SegmentCache`], or seeked.
     Sidecar(SidecarFrames),
-    Lossy {
-        info: CodecReader<BufReader<File>>,
-        cache: ChunkCache,
-    },
+    /// Lossy, read interval by interval.
+    Lossy(LossyFrames),
 }
 
 impl AtcReader {
@@ -444,8 +558,9 @@ impl AtcReader {
         Self::open_with(dir, ReadOptions::default())
     }
 
-    /// Opens a trace directory with explicit [`ReadOptions`] (chunk cache
-    /// capacity and decompression thread count).
+    /// Opens a trace directory with explicit [`ReadOptions`] (frame
+    /// cache, decompression thread count and engine). A lossy trace's
+    /// interval trace is decoded and validated here, once.
     ///
     /// # Errors
     ///
@@ -460,51 +575,46 @@ impl AtcReader {
             ))
         })?;
         let meta = Meta::parse(&meta_text)?;
-        let codec: Arc<dyn Codec> = Arc::from(
-            codec_by_name(&meta.codec)
-                .ok_or_else(|| AtcError::Format(format!("unknown codec {:?}", meta.codec)))?,
-        );
-        let threads = options.threads.max(1);
-        let engine = options.engine.clone();
+        let codec = codec_by_name(&meta.codec)
+            .ok_or_else(|| AtcError::Format(format!("unknown codec {:?}", meta.codec)))?;
+        let source = Source {
+            dir,
+            codec: Arc::from(codec),
+            threads: options.threads.max(1),
+            engine: options.engine,
+        };
         let mut no_sidecar = false;
         let state = match meta.mode.as_str() {
             "lossless" => {
                 let table = options.segment_cache.as_ref().and_then(|_| {
-                    let table = load_seek_table(&dir, &meta);
+                    let table = load_seek_table(&source.dir, &meta);
                     no_sidecar = table.is_none();
                     table
                 });
                 match (options.segment_cache, table) {
                     (Some(cache), Some(table)) => {
-                        State::Sidecar(SidecarFrames::new(Some(cache), &dir, &codec, table))
+                        State::Sidecar(SidecarFrames::new(Some(cache), &source.dir, table))
                     }
                     // No cache requested, or no usable sidecar to number
                     // frames by: plain streaming decode.
-                    _ => State::Linear(open_linear(
-                        &dir.join(format::DATA_FILE),
-                        &codec,
-                        threads,
-                        engine.as_ref(),
-                    )?),
+                    _ => State::Linear(source.open_linear(format::DATA_FILE)?),
                 }
             }
-            "lossy" => {
-                let file = BufReader::new(File::open(dir.join(format::INFO_FILE))?);
-                State::Lossy {
-                    // The interval trace is tiny — always decoded inline;
-                    // `threads` accelerates the chunk-file loads instead.
-                    info: CodecReader::new(file, Arc::clone(&codec)),
-                    cache: ChunkCache::new(options.chunk_cache.max(1), threads, engine.clone()),
-                }
-            }
+            "lossy" => State::Lossy(LossyFrames {
+                records: load_intervals(&source, &meta)?,
+                cache: options.segment_cache.unwrap_or_else(|| {
+                    SegmentCache::isolated(meta.interval_len.saturating_mul(8 * 8))
+                }),
+                last: None,
+                shared: false,
+            }),
             other => {
                 return Err(AtcError::Format(format!("unknown mode {other:?}")));
             }
         };
         Ok(Self {
             meta,
-            dir,
-            codec,
+            source,
             state,
             produced: 0,
             remaining: 0,
@@ -513,8 +623,6 @@ impl AtcReader {
             col_scratch: Vec::new(),
             frame_stats: FrameReadStats::default(),
             poisoned: None,
-            threads,
-            engine,
             no_sidecar,
             warned_linear: false,
         })
@@ -557,8 +665,9 @@ impl AtcReader {
     /// [`ReadOptions::threads`]) instead of first being copied
     /// through `Read::read` into an owned buffer —
     /// [`AtcReader::frame_stats`] counts borrowed vs copied column bytes.
-    /// Lossy intervals are materialized through the chunk cache
-    /// (translations must rewrite the bytes anyway).
+    /// A lossy interval that is a stored chunk as-is (a new chunk, or an
+    /// imitation without translations) is handed out straight from the
+    /// cached chunk; only a translated interval is written into a buffer.
     ///
     /// `next_frame` and [`AtcReader::decode`] may be interleaved: after
     /// `decode` took part of a frame, `next_frame` hands out the rest of
@@ -585,9 +694,17 @@ impl AtcReader {
     /// after a successful [`AtcReader::advance`]).
     fn current(&self) -> Result<&[u64]> {
         match &self.state {
-            State::Linear(_) => self.inverse.finish(),
-            State::Sidecar(frames) => frames.current(&self.inverse),
-            State::Lossy { .. } => Ok(&self.frame),
+            State::Sidecar(SidecarFrames {
+                shared: Some(frame),
+                ..
+            }) => Ok(frame),
+            State::Lossy(LossyFrames {
+                last: Some((_, chunk)),
+                shared: true,
+                ..
+            }) => Ok(chunk),
+            State::Lossy(_) => Ok(&self.frame),
+            _ => self.inverse.finish(),
         }
     }
 
@@ -615,22 +732,31 @@ impl AtcReader {
             State::Sidecar(frames) => frames.advance(
                 &self.meta,
                 self.produced,
+                &self.source,
                 &mut self.inverse,
                 &mut self.col_scratch,
                 &mut self.frame_stats,
             )?,
-            State::Lossy { info, cache } => match IntervalRecord::read(info)? {
-                Some(record) => {
-                    self.frame.clear();
-                    materialize_interval(&self.dir, &self.codec, cache, record, &mut self.frame)?;
-                    self.frame_stats.frames += 1;
-                    Some(self.frame.len())
-                }
-                None => None,
-            },
+            State::Lossy(lossy) => {
+                let len = lossy.advance(
+                    &self.meta,
+                    self.produced,
+                    &self.source,
+                    &mut self.inverse,
+                    &mut self.col_scratch,
+                    &mut self.frame,
+                )?;
+                self.frame_stats.frames += u64::from(len.is_some());
+                len
+            }
         };
         let Some(len) = len else {
-            self.check_complete()?;
+            if self.produced != self.meta.count {
+                return Err(AtcError::Format(format!(
+                    "trace ended after {} of {} addresses",
+                    self.produced, self.meta.count
+                )));
+            }
             return Ok(false);
         };
         self.remaining = len;
@@ -662,25 +788,15 @@ impl AtcReader {
         result
     }
 
-    /// Fails if the stream ended before `meta.count` addresses.
-    fn check_complete(&self) -> Result<()> {
-        if self.produced != self.meta.count {
-            return Err(AtcError::Format(format!(
-                "trace ended after {} of {} addresses",
-                self.produced, self.meta.count
-            )));
-        }
-        Ok(())
-    }
-
     /// Decodes the remainder of the trace into a vector.
     ///
     /// # Errors
     ///
     /// Propagates the first error from [`AtcReader::next_frame`].
     pub fn decode_all(&mut self) -> Result<Vec<u64>> {
-        // The header's count is untrusted until the trace is fully read,
-        // so cap the header-driven preallocation.
+        // bounded: 2^24 addresses (128 MiB) up front — the header's
+        // count is untrusted until the trace is fully read — and beyond
+        // that the vector grows only with frames actually decoded.
         let left = self.meta.count.saturating_sub(self.produced) + self.remaining as u64;
         let mut out = Vec::with_capacity(left.min(1 << 24) as usize);
         while let Some(frame) = self.next_frame()? {
@@ -690,28 +806,34 @@ impl AtcReader {
     }
 
     /// Repositions the reader so the next value decoded is the first
-    /// address of frame `frame_no` (address number `frame_no ×
-    /// meta.buffer`), in O(log segments) when the trace carries a seek
-    /// sidecar: the seek only records the target, and the next read finds
-    /// the target segment by binary search and decodes at most that one
-    /// segment before the target — never the megabytes in front of it. Traces written before the sidecar
-    /// existed still work: the reader warns once on stderr and falls
-    /// back to a linear decode-and-discard up to the target.
+    /// address of frame `frame_no` — address number `frame_no ×
+    /// meta.buffer` on a lossless trace, `frame_no × meta.interval_len`
+    /// on a lossy one, whose frames are its intervals.
+    ///
+    /// A lossy seek only moves the cursor: the interval trace was
+    /// decoded at open, and the next read takes the target interval's
+    /// chunk from the cache (or decodes that one chunk file). A lossless
+    /// seek is O(log segments) when the trace carries a seek sidecar: the
+    /// seek only records the target, and the next read finds the target
+    /// segment by binary search and decodes at most that one segment
+    /// before the target — never the megabytes in front of it. Lossless
+    /// traces written before the sidecar existed still work: the reader
+    /// warns once on stderr and falls back to a linear decode-and-discard
+    /// up to the target.
     ///
     /// Seeking is frame-granular because frames are the compression
     /// unit; [`AtcReader::seek_to_value`] adds the in-frame step for
     /// callers wanting address granularity. Seeking to the
     /// one-past-the-end frame is allowed and behaves like a fully drained
-    /// reader. After a seek the payload decodes on the calling thread
-    /// ([`ReadOptions::threads`] accelerates linear scans, which a seek
-    /// is not). With a [`ReadOptions::segment_cache`] the next read looks
-    /// the target frame up first, so a seek onto a hot frame opens no
-    /// payload file and decodes nothing.
+    /// reader. After a lossless seek the payload decodes on the calling
+    /// thread ([`ReadOptions::threads`] accelerates linear scans, which a
+    /// seek is not). With a [`ReadOptions::segment_cache`] the next read
+    /// looks the target frame up first, so a seek onto a hot frame opens
+    /// no payload file and decodes nothing.
     ///
     /// # Errors
     ///
-    /// Fails on lossy traces (their intervals are not frame-addressable
-    /// on disk), on targets past the end of the trace, and on the usual
+    /// Fails on targets past the end of the trace and on the usual
     /// I/O/codec/format errors. Errors latch like every other path.
     pub fn seek(&mut self, frame_no: u64) -> Result<()> {
         self.check_poisoned()?;
@@ -720,9 +842,10 @@ impl AtcReader {
     }
 
     /// Repositions the reader so the next value decoded is address number
-    /// `pos` of the trace: a frame [`AtcReader::seek`] plus, when `pos`
-    /// falls inside a frame, parsing that frame and skipping its first
-    /// `pos % meta.buffer` values in one step.
+    /// `pos` of the trace, lossless or lossy: a frame [`AtcReader::seek`]
+    /// plus, when `pos` falls inside a frame, parsing that frame and
+    /// skipping its first `pos % frame length` values in one step (the
+    /// frame length is `meta.buffer`, or `meta.interval_len` for lossy).
     ///
     /// # Errors
     ///
@@ -741,9 +864,9 @@ impl AtcReader {
                 self.meta.count
             )));
         }
-        let buffer = self.meta.buffer;
-        self.seek_inner(pos / buffer)?;
-        let skip = pos % buffer;
+        let frame_len = self.frame_len();
+        self.seek_inner(pos / frame_len)?;
+        let skip = pos % frame_len;
         if skip > 0 {
             if !self.advance_inner()? || (self.remaining as u64) < skip {
                 return Err(AtcError::Format(format!(
@@ -755,19 +878,40 @@ impl AtcReader {
         Ok(())
     }
 
-    fn seek_inner(&mut self, frame_no: u64) -> Result<()> {
-        if matches!(self.state, State::Lossy { .. }) {
-            return Err(AtcError::Format(
-                "seek requires a lossless trace: lossy intervals are not frame-addressable".into(),
-            ));
+    /// Addresses per frame: the bytesort buffer, or a lossy trace's
+    /// interval length. Nonzero: `Meta::parse` refuses either being 0.
+    fn frame_len(&self) -> u64 {
+        match self.state {
+            State::Lossy(_) => self.meta.interval_len,
+            _ => self.meta.buffer,
         }
-        let target_raw = frame_raw_offset(&self.meta, frame_no)?;
+    }
+
+    fn seek_inner(&mut self, frame_no: u64) -> Result<()> {
+        let frame_len = self.frame_len();
+        if frame_no > self.meta.count.div_ceil(frame_len) {
+            return Err(AtcError::Format(format!(
+                "seek target frame {frame_no} is past the end of the trace \
+                 ({} addresses in frames of {frame_len})",
+                self.meta.count
+            )));
+        }
         self.remaining = 0;
+        if !matches!(self.state, State::Lossy(_)) {
+            self.seek_lossless(frame_no)?;
+        }
+        self.produced = frame_no.saturating_mul(frame_len).min(self.meta.count);
+        Ok(())
+    }
+
+    /// Positions the payload stream of a lossless trace at frame
+    /// `frame_no` (at most one past its last).
+    fn seek_lossless(&mut self, frame_no: u64) -> Result<()> {
+        let target_raw = frame_raw_offset(&self.meta, frame_no)?;
         if !matches!(self.state, State::Sidecar(_)) && !self.no_sidecar {
-            match load_seek_table(&self.dir, &self.meta) {
+            match load_seek_table(&self.source.dir, &self.meta) {
                 Some(table) => {
-                    self.state =
-                        State::Sidecar(SidecarFrames::new(None, &self.dir, &self.codec, table));
+                    self.state = State::Sidecar(SidecarFrames::new(None, &self.source.dir, table));
                 }
                 None => self.no_sidecar = true,
             }
@@ -777,20 +921,24 @@ impl AtcReader {
             // The next advance finds the target frame by number.
             frames.stream = None;
         } else {
-            self.warn_linear_fallback();
-            let mut stream = open_linear(
-                &self.dir.join(format::DATA_FILE),
-                &self.codec,
-                self.threads,
-                self.engine.as_ref(),
-            )?;
-            skip_raw(&mut stream, target_raw)?;
+            // Random access degrades to a linear decode-and-discard: warn
+            // once per reader.
+            if !std::mem::replace(&mut self.warned_linear, true) {
+                eprintln!(
+                    "atc: warning: {} has no usable seek sidecar ({}); falling back to linear decode",
+                    self.source.dir.display(),
+                    format::SEEK_FILE
+                );
+            }
+            let mut stream = self.source.open_linear(format::DATA_FILE)?;
+            let skipped = std::io::copy(&mut (&mut stream).take(target_raw), &mut std::io::sink())?;
+            if skipped != target_raw {
+                return Err(AtcError::Format(format!(
+                    "payload ended after {skipped} of the {target_raw} bytes before the seek target"
+                )));
+            }
             self.state = State::Linear(stream);
         }
-        // `frame_raw_offset` bounded `frame_no` by the frame count.
-        self.produced = frame_no
-            .saturating_mul(self.meta.buffer)
-            .min(self.meta.count);
         Ok(())
     }
 
@@ -805,20 +953,7 @@ impl AtcReader {
         match &self.state {
             State::Linear(stream) => Some(stream.segments_decoded()),
             State::Sidecar(frames) => Some(frames.segments_decoded()),
-            State::Lossy { .. } => None,
-        }
-    }
-
-    /// Warns (once per reader) that random access degraded to a linear
-    /// decode because the trace has no usable seek sidecar.
-    fn warn_linear_fallback(&mut self) {
-        if !self.warned_linear {
-            self.warned_linear = true;
-            eprintln!(
-                "atc: warning: {} has no usable seek sidecar ({}); falling back to linear decode",
-                self.dir.display(),
-                format::SEEK_FILE
-            );
+            State::Lossy(_) => None,
         }
     }
 }
@@ -848,44 +983,33 @@ fn load_seek_table(dir: &Path, meta: &Meta) -> Option<Arc<format::SeekTable>> {
     Some(Arc::new(table))
 }
 
-/// Raw (decoded payload) byte offset at which frame `frame_no` starts;
-/// fails past the one-past-the-end frame.
+/// Raw (decoded payload) byte offset at which frame `frame_no` starts,
+/// for a frame at most one past the last. A frame is `varint(len)` plus 8
+/// bytes per address, and every frame in front of the target is full
+/// (`buffer` addresses) but a partial tail in front of the one-past-the-end
+/// frame, so the offset is arithmetic — no index of frame offsets is
+/// needed.
 fn frame_raw_offset(meta: &Meta, frame_no: u64) -> Result<u64> {
     // Nonzero: `Meta::parse` refuses buffer=0.
-    let buffer = meta.buffer;
-    let past_end = || {
-        AtcError::Format(format!(
-            "seek target frame {frame_no} is past the end of the trace \
-             ({} addresses in frames of {buffer})",
-            meta.count
-        ))
-    };
-    let total_frames = meta.count.div_ceil(buffer);
-    if frame_no > total_frames {
-        return Err(past_end());
-    }
-    // Every frame before the target is full (exactly `buffer`
-    // addresses), so its raw frame bytes are a fixed
-    // varint-header-plus-columns size and the target's raw offset is
-    // one multiplication — no index of frame offsets is needed. The
-    // one-past-the-end frame accounts for a partial tail frame.
-    let frame_raw = varint_len(buffer)
-        .checked_add(buffer.checked_mul(8).ok_or_else(past_end)?)
-        .ok_or_else(past_end)?;
-    if frame_no == total_frames {
-        let rem = meta.count % buffer;
-        let tail = if rem > 0 {
-            varint_len(rem) + 8 * rem
-        } else {
-            0
-        };
-        (meta.count / buffer)
-            .checked_mul(frame_raw)
-            .and_then(|v| v.checked_add(tail))
-            .ok_or_else(past_end)
+    let (buffer, count) = (meta.buffer, meta.count);
+    let full = frame_no.min(count / buffer);
+    let tail = count % buffer;
+    let tail_header = if frame_no > full && tail > 0 {
+        varint_len(tail)
     } else {
-        frame_no.checked_mul(frame_raw).ok_or_else(past_end)
-    }
+        0
+    };
+    // `full × varint_len(buffer)` ≤ count: a varint byte holds 7 bits.
+    frame_no
+        .saturating_mul(buffer)
+        .min(count)
+        .checked_mul(8)
+        .and_then(|columns| columns.checked_add(full * varint_len(buffer) + tail_header))
+        .ok_or_else(|| {
+            AtcError::Format(format!(
+                "frame {frame_no} of a {count}-address trace starts past 2^64 raw bytes"
+            ))
+        })
 }
 
 /// Fails if frame `frame_no`'s raw offset lies past what the sidecar's
@@ -903,112 +1027,6 @@ fn check_sidecar_span(table: &format::SeekTable, frame_no: u64, raw: u64) -> Res
 /// Encoded length of `varint(value)` in bytes (LEB128, 7 bits per byte).
 fn varint_len(value: u64) -> u64 {
     u64::from((64 - value.leading_zeros()).max(1)).div_ceil(7)
-}
-
-/// Reads and discards exactly `n` decoded bytes (the linear-fallback
-/// skip to a seek target).
-fn skip_raw<R: Read>(r: &mut R, n: u64) -> Result<()> {
-    let skipped = std::io::copy(&mut r.by_ref().take(n), &mut std::io::sink())?;
-    if skipped != n {
-        return Err(AtcError::Format(format!(
-            "payload ended after {skipped} of the {n} bytes before the seek target"
-        )));
-    }
-    Ok(())
-}
-
-/// Decodes one interval record into `out`: loads its chunk (through the
-/// cache) and applies the recorded translations.
-fn materialize_interval(
-    dir: &Path,
-    codec: &Arc<dyn Codec>,
-    cache: &mut ChunkCache,
-    record: IntervalRecord,
-    out: &mut Vec<u64>,
-) -> Result<()> {
-    match record {
-        IntervalRecord::NewChunk { chunk_id, len } => {
-            let addrs = cache.load(dir, codec, chunk_id)?;
-            if addrs.len() as u64 != len {
-                return Err(AtcError::Format(format!(
-                    "chunk {chunk_id} holds {} addresses, record says {len}",
-                    addrs.len()
-                )));
-            }
-            out.extend_from_slice(&addrs);
-        }
-        IntervalRecord::Imitate {
-            chunk_id,
-            translations,
-        } => {
-            let addrs = cache.load(dir, codec, chunk_id)?;
-            if translations.iter().all(Option::is_none) {
-                out.extend_from_slice(&addrs);
-            } else {
-                let t: &[Option<Translation>; COLUMNS] = &translations;
-                out.extend(addrs.iter().map(|&a| translate_addr(a, t)));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// LRU cache of decompressed chunks.
-#[derive(Debug)]
-struct ChunkCache {
-    capacity: usize,
-    /// Decompression parallelism for chunk loads (1 = inline).
-    threads: usize,
-    /// Engine the chunk-load decode tasks run on (None = global).
-    engine: Option<Engine>,
-    /// Most recently used last.
-    entries: Vec<(u64, Arc<Vec<u64>>)>,
-    /// Frame decoder state reused across chunk loads.
-    inverse: BytesortInverse,
-    col_scratch: Vec<u8>,
-}
-
-impl ChunkCache {
-    fn new(capacity: usize, threads: usize, engine: Option<Engine>) -> Self {
-        Self {
-            capacity,
-            threads,
-            engine,
-            entries: Vec::new(),
-            inverse: BytesortInverse::default(),
-            col_scratch: Vec::new(),
-        }
-    }
-
-    fn load(&mut self, dir: &Path, codec: &Arc<dyn Codec>, id: u64) -> Result<Arc<Vec<u64>>> {
-        if let Some(i) = self.entries.iter().position(|(eid, _)| *eid == id) {
-            let entry = self.entries.remove(i);
-            let addrs = Arc::clone(&entry.1);
-            self.entries.push(entry);
-            return Ok(addrs);
-        }
-        let path = dir.join(format::chunk_file_name(id));
-        let mut stream =
-            open_linear(&path, codec, self.threads, self.engine.as_ref()).map_err(|e| {
-                AtcError::Format(format!("cannot open chunk file {}: {e}", path.display()))
-            })?;
-        let mut addrs = Vec::new();
-        let mut stats = FrameReadStats::default();
-        while format::read_frame_borrowed(
-            &mut stream,
-            &mut self.inverse,
-            &mut self.col_scratch,
-            &mut stats,
-        )? {
-            addrs.extend_from_slice(self.inverse.finish()?);
-        }
-        let addrs = Arc::new(addrs);
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((id, Arc::clone(&addrs)));
-        Ok(addrs)
-    }
 }
 
 #[cfg(test)]
@@ -1642,27 +1660,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn seek_rejects_lossy_traces() {
-        let dir = tmp("seek-lossy");
+    /// Writes a lossy trace of 100-address intervals that stores several
+    /// chunks and imitates them with and without translations, plus a
+    /// 37-address partial last interval; returns its linear decode.
+    fn write_lossy(dir: &PathBuf) -> Vec<u64> {
         let cfg = LossyConfig {
             interval_len: 100,
             ..LossyConfig::default()
         };
         let mut w = AtcWriter::with_options(
-            &dir,
+            dir,
             Mode::Lossy(cfg),
             AtcOptions {
-                codec: "store".into(),
-                buffer: 50,
+                codec: "lz".into(),
+                buffer: 32,
                 threads: 1,
             },
         )
         .unwrap();
-        w.code_all((0..250u64).map(|i| i * 8)).unwrap();
-        w.finish().unwrap();
+        for lap in 0..12u64 {
+            w.code_all(
+                (0..100u64).map(|i| ((lap % 3) << 32) + i * ((lap % 3) + 1) * 64 + (lap / 3)),
+            )
+            .unwrap();
+        }
+        w.code_all((0..37u64).map(|i| i * 8)).unwrap();
+        let stats = w.finish().unwrap();
+        assert!(stats.chunks >= 3 && stats.imitations >= 6, "{stats:?}");
+        let out = AtcReader::open(dir).unwrap().decode_all().unwrap();
+        assert_eq!(out.len(), 1_237);
+        out
+    }
+
+    #[test]
+    fn lossy_seek_matches_linear_decode() {
+        let dir = tmp("seek-lossy");
+        let expect = write_lossy(&dir);
+        let n = expect.len() as u64;
         let mut r = AtcReader::open(&dir).unwrap();
-        assert!(r.seek(1).is_err());
+        // Every interval start, the partial last one and one past the end.
+        for k in 0..=13u64 {
+            r.seek(k).unwrap();
+            let at = (k * 100).min(n) as usize;
+            assert_eq!(r.decode_all().unwrap(), &expect[at..], "interval {k}");
+        }
+        assert!(r.seek(14).is_err(), "past the end");
+        assert!(r.decode().is_err(), "a failed seek latches");
+
+        // Mid-interval offsets, backwards as well as forwards.
+        let mut r = AtcReader::open(&dir).unwrap();
+        let mut positions: Vec<u64> = (0..=13u64)
+            .flat_map(|k| [k * 100, k * 100 + 1, k * 100 + 57, k * 100 + 99])
+            .filter(|&p| p <= n)
+            .collect();
+        positions.extend([n - 1, n, 640, 3]);
+        for pos in positions {
+            r.seek_to_value(pos).unwrap();
+            if pos < n {
+                assert_eq!(r.decode().unwrap(), Some(expect[pos as usize]), "pos {pos}");
+                assert_eq!(
+                    r.decode_all().unwrap(),
+                    &expect[pos as usize + 1..],
+                    "pos {pos}"
+                );
+            }
+            assert_eq!(r.decode().unwrap(), None, "pos {pos}");
+        }
+        assert!(r.seek_to_value(n + 1).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1802,6 +1866,78 @@ mod tests {
         assert_eq!(stats.bytes, 500 * 8, "only the 500-address tail frame fits");
         assert_eq!(stats.evictions, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lossy_warm_read_misses_nothing() {
+        let dir = tmp("cached-lossy-warm");
+        let expect = write_lossy(&dir);
+        let cache = SegmentCache::isolated(64 << 20);
+        let mut cold = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+        assert_eq!(cold.decode_all().unwrap(), expect);
+        let stats = cache.stats();
+        assert!(stats.misses >= 3, "every chunk missed once: {stats:?}");
+        assert_eq!(
+            stats.bytes,
+            8 * ((stats.misses - 1) * 100 + 37),
+            "{stats:?}"
+        );
+
+        let mut warm = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+        assert_eq!(warm.decode_all().unwrap(), expect);
+        warm.seek_to_value(555).unwrap();
+        assert_eq!(warm.decode_all().unwrap(), &expect[555..]);
+        let warm_stats = cache.stats().since(&stats);
+        assert_eq!(warm_stats.misses, 0, "{warm_stats:?}");
+        assert!(warm_stats.hits > 0, "{warm_stats:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lossy_chunk_larger_than_the_cap_reads_correctly() {
+        let dir = tmp("cached-lossy-tiny-cap");
+        let expect = write_lossy(&dir);
+        // A 100-address chunk charges 800 bytes; nothing fits.
+        let cache = SegmentCache::isolated(799);
+        for _ in 0..2 {
+            let mut r = AtcReader::open_with(&dir, cached(&cache)).unwrap();
+            assert_eq!(r.decode_all().unwrap(), expect);
+            r.seek_to_value(1_001).unwrap();
+            assert_eq!(r.decode_all().unwrap(), &expect[1_001..]);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.bytes, 37 * 8, "only the 37-address last chunk fits");
+        assert_eq!(stats.evictions, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lossy_and_lossless_traces_share_one_cache_without_aliasing() {
+        let (lossy_dir, lossless_dir) = (tmp("cached-mixed-lossy"), tmp("cached-mixed-lossless"));
+        let lossy = write_lossy(&lossy_dir);
+        let lossless: Vec<u64> = (0..3_000u64).map(|i| i * 64).collect();
+        write_segmented(&lossless_dir, &lossless, "lz", 100);
+        let cache = SegmentCache::isolated(64 << 20);
+        for _ in 0..2 {
+            for (dir, want) in [(&lossy_dir, &lossy), (&lossless_dir, &lossless)] {
+                let mut r = AtcReader::open_with(dir, cached(&cache)).unwrap();
+                assert_eq!(&r.decode_all().unwrap(), want);
+                // Frame 0 of the lossless trace and chunk 0 of the lossy
+                // one are both `(_, 0)` keys.
+                r.seek(0).unwrap();
+                assert_eq!(r.decode().unwrap(), Some(want[0]));
+            }
+        }
+        let stats = cache.stats();
+        let chunks = AtcReader::open(&lossy_dir).unwrap().meta().chunks;
+        assert_eq!(
+            stats.misses,
+            30 + chunks,
+            "each frame and chunk misses once"
+        );
+        assert_eq!(stats.bytes, 8 * (3_000 + (chunks - 1) * 100 + 37));
+        std::fs::remove_dir_all(&lossy_dir).unwrap();
+        std::fs::remove_dir_all(&lossless_dir).unwrap();
     }
 
     #[test]

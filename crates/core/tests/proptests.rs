@@ -141,8 +141,10 @@ proptest! {
 
     #[test]
     fn meta_text_roundtrip(
-        buffer in 1u64..u64::MAX,
-        interval in any::<u64>(),
+        // Every meta `Meta::parse` accepts: a lossy trace needs a
+        // nonzero interval and a buffer within the frame cap.
+        buffer in 1u64..=atc_core::format::FRAME_MAX_ADDRS,
+        interval in 1u64..u64::MAX,
         count in any::<u64>(),
         chunks in any::<u64>(),
         thr_millis in 0u32..2000,

@@ -432,22 +432,25 @@ lines above. Suppression: `// atclint: allow(naked-notify) -- why`.",
     },
     Rule {
         id: "wire-alloc",
-        summary: "non-literal-length allocations in net/format need a `bounded:` annotation",
+        summary: "non-literal-length allocations in code that parses untrusted bytes need a `bounded:` annotation",
         explain: "\
-Invariant: in `crates/net` and `crates/core/src/format.rs`, any
+Invariant: in `crates/net`, `crates/core/src/format.rs`,
+`crates/core/src/reader.rs` and `crates/codec/src/stream.rs`, any
 allocation sized by a runtime value — `with_capacity(n)`,
 `vec![x; n]`, `resize(n, …)`, `reserve(n)` with non-literal `n` —
 carries an adjacent comment containing `bounded:` stating the bound
 (e.g. 'bounded: n <= NET_MAX_FRAME, checked above').
 
-Rationale: wire-facing code allocates from attacker-controlled
-declared lengths. The NET_MAX_FRAME check-before-alloc pattern only
-protects frames whose allocation actually follows a check; the
-annotation makes 'where is the check?' a lint question instead of a
-review question.
+Rationale: wire-facing and disk-parsing code allocates from
+attacker-controlled declared lengths. The NET_MAX_FRAME
+check-before-alloc pattern only protects frames whose allocation
+actually follows a check; the annotation makes 'where is the check?' a
+lint question instead of a review question. Both allocation aborts
+found on disk input (a forged segment length, a forged sidecar length)
+were in the trace reader and the codec-stream reader.
 
-Scope: crates/net/src and crates/core/src/format.rs; test regions
-exempt. Integer-literal lengths are always fine.
+Scope: crates/net/src, crates/core/src/{format,reader}.rs and
+crates/codec/src/stream.rs; test regions exempt. Integer-literal lengths are always fine.
 Annotation: comment containing `bounded:` on the line or within 4
 lines above. Suppression: `// atclint: allow(wire-alloc) -- why`.",
         check: check_wire_alloc,
@@ -641,11 +644,14 @@ fn check_naked_notify(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 
 /// Is `wire-alloc` in scope for this file?
 fn wire_alloc_in_scope(ctx: &FileContext<'_>) -> bool {
+    let path = ctx.path.replace('\\', "/");
     match &ctx.kind {
-        FileKind::LibrarySrc { crate_name } if crate_name == "net" => true,
-        FileKind::LibrarySrc { crate_name } if crate_name == "core" => {
-            ctx.path.replace('\\', "/").ends_with("src/format.rs")
-        }
+        FileKind::LibrarySrc { crate_name } => match crate_name.as_str() {
+            "net" => true,
+            "core" => path.ends_with("src/format.rs") || path.ends_with("src/reader.rs"),
+            "codec" => path.ends_with("src/stream.rs"),
+            _ => false,
+        },
         _ => false,
     }
 }
@@ -681,7 +687,7 @@ fn check_wire_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                         "wire-alloc",
                         t,
                         format!(
-                            "{name} with a non-literal length in wire-facing code — \
+                            "{name} with a non-literal length in untrusted-input code — \
                              check against NET_MAX_FRAME (or similar) and annotate `bounded:`"
                         ),
                     ));
@@ -726,7 +732,7 @@ fn check_wire_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                         ctx.finding(
                             "wire-alloc",
                             t,
-                            "vec![…; len] with a non-literal length in wire-facing code — \
+                            "vec![…; len] with a non-literal length in untrusted-input code — \
                          check the length before allocating and annotate `bounded:`"
                                 .to_string(),
                         ),

@@ -226,6 +226,33 @@ pub fn f(n: usize) -> Vec<u8> {
 }
 
 #[test]
+fn wire_alloc_fires_in_the_disk_readers() {
+    // The shape of a reader sizing a vector from a header field (`meta`
+    // count, a declared segment length).
+    let bad = r#"
+pub fn records(count: u64) -> Vec<u64> {
+    Vec::with_capacity(count as usize)
+}
+"#;
+    assert_eq!(findings("crates/core/src/reader.rs", bad), ["wire-alloc:3"]);
+    assert_eq!(
+        findings("crates/codec/src/stream.rs", bad),
+        ["wire-alloc:3"]
+    );
+    // The rest of those crates stays out of scope.
+    assert!(findings("crates/core/src/writer.rs", bad).is_empty());
+    assert!(findings("crates/codec/src/bzip.rs", bad).is_empty());
+
+    let good = r#"
+pub fn records(count: u64) -> Vec<u64> {
+    // bounded: 1024 up front; the caller refuses more than `count`.
+    Vec::with_capacity(count.min(1024) as usize)
+}
+"#;
+    assert!(findings("crates/core/src/reader.rs", good).is_empty());
+}
+
+#[test]
 fn wire_alloc_accepts_literal_lengths() {
     let src = r#"
 pub fn f() -> Vec<u8> {

@@ -166,12 +166,12 @@ impl AtcClient {
     }
 
     /// Streams shard `shard`'s sub-stream from its value position
-    /// `from` to the shard's end.
+    /// `from` to the shard's end, lossless or lossy.
     ///
     /// # Errors
     ///
     /// Fails on transport errors and server-reported errors (unknown
-    /// shards, offsets past the shard, seeking into lossy shards).
+    /// shards, offsets past the shard).
     pub fn stream_shard(&mut self, shard: u32, from: u64) -> Result<Vec<u64>> {
         self.send(&NetRequest::StreamShard { shard, from })?;
         self.collect_stream(u64::MAX)

@@ -120,8 +120,10 @@ impl StoreReader {
         Self::open_with(root, ReadOptions::default())
     }
 
-    /// Opens a store root. `options.chunk_cache` applies to every shard
-    /// reader; `options.threads` is the store's *total* decompression
+    /// Opens a store root. `options.segment_cache` applies to every shard
+    /// reader (lossless frames and lossy chunks alike; without one, each
+    /// lossy shard keeps a private cache of eight intervals);
+    /// `options.threads` is the store's *total* decompression
     /// parallelism: all shard readers submit their decode tasks to **one
     /// shared engine** with that many workers (injected through
     /// [`ReadOptions::engine`], or the process-wide default grown to
@@ -308,15 +310,17 @@ impl StoreReader {
     /// the stream in front of it: the target is translated into a
     /// per-shard consumed count — a division for round-robin, a prefix
     /// walk over the runs otherwise — and each shard then seeks its own
-    /// trace through [`AtcReader::seek_to_value`]'s sidecar fast path
-    /// (decoding at most one segment, plus the one frame holding the
-    /// target). The run cursor is restored mid-run, so replay continues
+    /// trace through [`AtcReader::seek_to_value`]: the sidecar fast path
+    /// on a lossless shard (decoding at most one segment, plus the one
+    /// frame holding the target), interval arithmetic on a lossy one
+    /// (decoding at most the one chunk the target interval reads). The
+    /// run cursor is restored mid-run, so replay continues
     /// exactly where the writer was.
     ///
     /// # Errors
     ///
     /// Fails on targets past the manifest count and on shard seek
-    /// errors (e.g. lossy shards, which are not frame-addressable).
+    /// errors.
     pub fn seek_to(&mut self, pos: u64) -> Result<()> {
         if pos > self.manifest.count {
             return Err(AtcError::Format(format!(

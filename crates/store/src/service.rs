@@ -159,9 +159,8 @@ impl StoreService {
 
     /// Streams shard `shard`'s sub-stream from its value position `from`
     /// to its end, in chunks of at most `chunk_values` (clamped to at
-    /// least 1). `from == 0` never seeks, so lossy shards (which are not
-    /// frame-addressable) still stream whole; `from > 0` uses the shard's
-    /// sidecar seek and fails on lossy traces like [`atc_core::AtcReader::seek`].
+    /// least 1). `from > 0` seeks the shard with
+    /// [`atc_core::AtcReader::seek_to_value`], lossless or lossy.
     ///
     /// # Errors
     ///

@@ -414,3 +414,64 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Lossy stores are range-addressable too: a shard's intervals are its
+    // frames, so under every policy a `read_range` (forwards, then back
+    // to the start) equals the slice of the store's own linear decode —
+    // lossy output is not the input, so the decode is the reference.
+    #[test]
+    fn lossy_read_range_matches_linear_slice(
+        lines in vec(0u64..256, 1..3000),
+        interval in 1usize..300,
+        buffer in 1usize..200,
+        start_sel in any::<u64>(),
+        len_sel in any::<u64>(),
+    ) {
+        // Lines of four 16 MiB regions: new chunks, identity and
+        // translated imitations.
+        let addrs: Vec<u64> = lines.iter().map(|&v| ((v >> 6) << 24) | ((v & 63) << 6)).collect();
+        let n = addrs.len() as u64;
+        let start = start_sel % (n + 1);
+        let end = start + len_sel % (n - start + 1);
+        for policy in [
+            ShardPolicy::RoundRobin,
+            ShardPolicy::AddressRange { shift: 24 },
+            ShardPolicy::ThreadId,
+        ] {
+            let root = tmp(&format!("lossy-{}", policy.to_name().replace(':', "_")));
+            let mut s = AtcStore::create(
+                &root,
+                Mode::Lossy(atc_core::LossyConfig {
+                    interval_len: interval,
+                    ..atc_core::LossyConfig::default()
+                }),
+                StoreOptions {
+                    shards: 3,
+                    policy,
+                    atc: AtcOptions {
+                        codec: "lz".into(),
+                        buffer,
+                        threads: 1,
+                    },
+                    max_buffered_bytes: None,
+                },
+            )
+            .unwrap();
+            for (i, &a) in addrs.iter().enumerate() {
+                s.code_from(i as u64 % 5, a).unwrap();
+            }
+            s.finish().unwrap();
+
+            let linear = StoreReader::open(&root).unwrap().decode_all().unwrap();
+            prop_assert_eq!(linear.len(), addrs.len());
+            let mut r = StoreReader::open(&root).unwrap();
+            let (s, e) = (start as usize, end as usize);
+            prop_assert_eq!(&r.read_range(start..end).unwrap(), &linear[s..e], "policy={}", policy.to_name());
+            prop_assert_eq!(&r.read_range(0..end).unwrap(), &linear[..e], "policy={}", policy.to_name());
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+}

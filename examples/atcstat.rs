@@ -8,11 +8,12 @@
 //! alongside the reader's `frame_stats()`.
 //!
 //! With `--seek FRAME` it becomes a random-access extractor instead:
-//! seek to that frame through the seek sidecar (decoding at most one
-//! segment before the target; linear fallback with a warning on traces
-//! without a sidecar), then dump the remaining addresses as raw
-//! little-endian 64-bit values on stdout. Frame-cache and decode
-//! counters go to stderr.
+//! seek to that frame — on a lossless trace through the seek sidecar
+//! (decoding at most one segment before the target; linear fallback
+//! with a warning on traces without a sidecar), on a lossy trace to that
+//! interval (decoding at most its one chunk) — then dump the remaining
+//! addresses as raw little-endian 64-bit values on stdout. Frame-cache
+//! and decode counters go to stderr.
 //!
 //! ```text
 //! cargo run --release --example atcstat -- foobar

@@ -284,6 +284,52 @@ proptest! {
         prop_assert_eq!(hits, cold_frames);
     }
 
+    // Lossy random access: interval k is the trace's frame k, so a seek
+    // to any address (mid-interval, the partial last interval, one past
+    // the end) followed by a drain must equal the linear decode's tail,
+    // with and without an attached cache.
+    #[test]
+    fn lossy_seek_to_value_matches_linear_decode(
+        lines in vec(0u64..256, 0..3000),
+        interval in 1usize..400,
+        threshold_pct in 0u32..50,
+        buffer in 1usize..300,
+        pos_sel in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        use atc::cache::SegmentCache;
+        // Lines of four regions in random order: new chunks, identity
+        // and translated imitations.
+        let values: Vec<u64> = lines.iter().map(|&v| ((v >> 6) << 24) | ((v & 63) << 6)).collect();
+        let dir = scratch(seed.wrapping_add(505));
+        let mut w = AtcWriter::with_options(
+            &dir,
+            Mode::Lossy(LossyConfig {
+                interval_len: interval,
+                threshold: f64::from(threshold_pct) / 100.0,
+                ..LossyConfig::default()
+            }),
+            AtcOptions { codec: "lz".into(), buffer, threads: 1 },
+        ).unwrap();
+        w.code_all(values.iter().copied()).unwrap();
+        w.finish().unwrap();
+
+        let linear = AtcReader::open(&dir).unwrap().decode_all().unwrap();
+        let pos = pos_sel % (values.len() as u64 + 1);
+        let cache = SegmentCache::isolated(64 << 20);
+        for segment_cache in [None, Some(cache)] {
+            let mut r = atc::core::AtcReader::open_with(
+                &dir,
+                atc::core::ReadOptions { segment_cache, ..Default::default() },
+            ).unwrap();
+            r.seek_to_value(pos).unwrap();
+            let rest = r.decode_all().unwrap();
+            prop_assert_eq!(rest, &linear[pos as usize..]);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(linear.len(), values.len());
+    }
+
     #[test]
     fn tcgen_roundtrip_arbitrary(values in vec(any::<u64>(), 0..2000)) {
         use std::sync::Arc;
