@@ -8,7 +8,7 @@
 //! logical streams to share one file. Built without an engine
 //! ([`CodecWriter::new`]) it compresses every segment on the producer
 //! thread. Built with `threads > 1` it instead submits full segments as
-//! tasks to a shared work-stealing [`Engine`] and writes the frames back
+//! tasks to the shared [`Engine`] and writes the frames back
 //! **in submission order**, so the on-disk bytes are identical at every
 //! worker count — readers cannot tell the two modes apart. This is the
 //! shape proven by rr's `CompressedWriter`: independent blocks, ordered
@@ -244,8 +244,6 @@ pub struct CodecWriter<W: Write> {
 #[derive(Debug)]
 pub(crate) struct Pool {
     pub(crate) engine: Engine,
-    /// Home worker for this stream's tasks (idle workers steal from it).
-    pub(crate) home: usize,
     /// Configured parallelism: bounds the in-flight window.
     pub(crate) threads: usize,
     /// `(seq, the task's input buffer back for recycling, its output
@@ -257,10 +255,8 @@ pub(crate) struct Pool {
 impl Pool {
     pub(crate) fn attach(engine: Engine, threads: usize) -> Self {
         let (tx, results) = mpsc::channel();
-        let home = engine.assign_home();
         Self {
             engine,
-            home,
             threads,
             results,
             tx,
@@ -615,7 +611,7 @@ impl<W: Write> CodecWriter<W> {
         let tx = pool.tx.clone();
         let codec = Arc::clone(&self.codec);
         let budget = self.budget.clone();
-        pool.engine.submit(pool.home, move || {
+        pool.engine.submit(move || {
             // A panicking codec must not strand the writer waiting for a
             // result that will never come: catch it and deliver the
             // failure through the ordered reassembly path instead.
@@ -955,7 +951,13 @@ mod tests {
             2,
         );
         let err = r.read_to_end(&mut back).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A short segment is corrupt, never the clean end of a stream.
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("segment truncated: got 2 of 4611686018427387904 bytes"),
+            "{err}"
+        );
     }
 
     /// Regression test: a CRC failure in a *middle* segment must deliver

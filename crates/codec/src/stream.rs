@@ -105,9 +105,12 @@ impl StreamScratch {
 ///
 /// The length is untrusted, so `packed` grows in steps of at most
 /// [`DEFAULT_SEGMENT_SIZE`] as bytes actually arrive: an honest segment
-/// is one `resize` and one `read_exact`, and a lying length costs an
-/// `UnexpectedEof` after buffering what the input really holds, never an
-/// allocation of the claimed size.
+/// is one `resize` and a few reads, and a lying length costs a
+/// corrupt-segment error after buffering what the input really holds,
+/// never an allocation of the claimed size. Only an end of input before
+/// the length varint stays an `UnexpectedEof`, the clean end a frame
+/// reader may stop at; an end inside a segment is
+/// [`CodecError::Corrupt`].
 pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::Result<bool> {
     packed.clear();
     let seg_len = usize::try_from(varint::read_u64(inner)?).map_err(|_| {
@@ -116,11 +119,22 @@ pub(crate) fn read_segment<R: Read>(inner: &mut R, packed: &mut Vec<u8>) -> io::
         ))
     })?;
     while packed.len() < seg_len {
-        let filled = packed.len();
+        let mut got = packed.len();
         // bounded: DEFAULT_SEGMENT_SIZE more bytes per step, each step
         // filled by bytes that really arrived before the next one.
-        packed.resize(filled + (seg_len - filled).min(DEFAULT_SEGMENT_SIZE), 0);
-        inner.read_exact(&mut packed[filled..])?;
+        packed.resize(got + (seg_len - got).min(DEFAULT_SEGMENT_SIZE), 0);
+        while got < packed.len() {
+            match inner.read(&mut packed[got..]) {
+                Ok(0) => {
+                    return Err(io::Error::from(CodecError::Corrupt(format!(
+                        "segment truncated: got {got} of {seg_len} bytes"
+                    ))))
+                }
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
     Ok(seg_len > 0)
 }
@@ -205,7 +219,7 @@ impl Window {
         let mut out = self.out_pool.pop().unwrap_or_default();
         let codec = Arc::clone(codec);
         let tx = self.pool.tx.clone();
-        self.pool.engine.submit(self.pool.home, move || {
+        self.pool.engine.submit(move || {
             // A panicking codec must surface as a latched error, not a
             // segment the consumer waits for forever: catch and convert.
             let decoded = catch_unwind(AssertUnwindSafe(|| {
@@ -485,7 +499,39 @@ mod tests {
         file.extend_from_slice(b"da");
         let mut r = CodecReader::new(&file[..], Arc::new(Store) as Arc<dyn Codec>);
         let err = r.read_to_end(&mut back).unwrap_err();
+        // A short segment is corrupt, never the clean end of a stream.
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("segment truncated: got 2 of 4611686018427387904 bytes"),
+            "{err}"
+        );
+    }
+
+    /// An end of input before a length varint is the clean end a frame
+    /// reader may stop at; an end after a length, however many payload
+    /// bytes arrived, is a corrupt segment.
+    #[test]
+    fn read_segment_eof_is_clean_only_before_a_length() {
+        let mut packed = Vec::new();
+        let err = read_segment(&mut &b""[..], &mut packed).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        for (len, payload) in [(4u64, &b""[..]), (4, b"da"), (5, b"data")] {
+            let mut file = Vec::new();
+            varint::write_u64(&mut file, len).unwrap();
+            file.extend_from_slice(payload);
+            let err = read_segment(&mut &file[..], &mut packed).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {len}");
+            let expect = format!("segment truncated: got {} of {len} bytes", payload.len());
+            assert!(err.to_string().contains(&expect), "{err}");
+        }
+
+        let mut file = Vec::new();
+        varint::write_u64(&mut file, 4).unwrap();
+        file.extend_from_slice(b"data");
+        assert!(read_segment(&mut &file[..], &mut packed).unwrap());
+        assert_eq!(packed, b"data");
     }
 
     #[test]

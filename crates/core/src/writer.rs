@@ -38,8 +38,8 @@ pub struct AtcOptions {
     /// Compression parallelism. `0`/`1` keep every byte on the producer
     /// thread (the original single-threaded behavior); `n > 1` submits
     /// full segments (lossless mode) or interval classification + whole
-    /// chunk files (lossy mode) as tasks to the shared work-stealing
-    /// engine, growing the process-wide engine to at least `n` workers
+    /// chunk files (lossy mode) as tasks to the shared engine, growing
+    /// the process-wide engine to at least `n` workers
     /// (tests inject an explicit engine through
     /// [`AtcWriter::with_options_engine`] instead). The on-disk format is
     /// byte-identical at every thread and worker count, so readers never
@@ -346,8 +346,6 @@ impl LossyShared {
 #[derive(Debug)]
 struct LossyPipeline {
     engine: Engine,
-    /// Home worker for this writer's tasks (idle workers steal from it).
-    home: usize,
     shared: Arc<LossyShared>,
     /// Per-worker [`StreamScratch`] threaded through every chunk file a
     /// worker writes, so only its first chunk pays the segment-buffer
@@ -361,11 +359,9 @@ struct LossyPipeline {
 
 impl LossyPipeline {
     fn new(engine: Engine, shared: Arc<LossyShared>, threads: usize) -> Self {
-        let home = engine.assign_home();
         let scratch = Arc::new(WorkerLocal::new(&engine));
         Self {
             engine,
-            home,
             shared,
             scratch,
             cap: threads.max(1) * 2,
@@ -410,11 +406,10 @@ impl LossyPipeline {
         drop(q);
         if schedule {
             let engine = self.engine.clone();
-            let home = self.home;
             let shared = Arc::clone(shared);
             let scratch = Arc::clone(&self.scratch);
             self.engine
-                .submit(self.home, move || run_actor(engine, home, shared, scratch));
+                .submit(move || run_actor(engine, shared, scratch));
         }
         Ok(())
     }
@@ -437,12 +432,7 @@ impl LossyPipeline {
 /// one live task rather than fanned out; the heavy per-interval work
 /// still runs on the engine, off the producer thread, and the chunk
 /// payloads it discovers fan out as independent tasks.
-fn run_actor(
-    engine: Engine,
-    home: usize,
-    shared: Arc<LossyShared>,
-    scratch: Arc<WorkerLocal<StreamScratch>>,
-) {
+fn run_actor(engine: Engine, shared: Arc<LossyShared>, scratch: Arc<WorkerLocal<StreamScratch>>) {
     loop {
         let (interval, failed) = {
             let mut q = shared.queue();
@@ -475,7 +465,7 @@ fn run_actor(
         }
         let bytes = interval.len() as u64 * 8;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            classify_one(&engine, home, &shared, &scratch, interval)
+            classify_one(&engine, &shared, &scratch, interval)
         }));
         match outcome {
             Ok(Ok(())) => {}
@@ -501,7 +491,6 @@ fn run_actor(
 /// chunk payload out as an engine task.
 fn classify_one(
     engine: &Engine,
-    home: usize,
     shared: &Arc<LossyShared>,
     scratch: &Arc<WorkerLocal<StreamScratch>>,
     interval: Vec<u64>,
@@ -513,7 +502,7 @@ fn classify_one(
             shared.queue().pending_chunks += 1;
             let shared = Arc::clone(shared);
             let scratch = Arc::clone(scratch);
-            engine.submit(home, move || run_chunk(shared, scratch, path, addrs));
+            engine.submit(move || run_chunk(shared, scratch, path, addrs));
         }
         Recorded::Imitated { addrs } => shared.recycle(addrs, 8),
     }

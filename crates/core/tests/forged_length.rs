@@ -51,7 +51,8 @@ fn forge_first_length(path: &Path) {
     std::fs::write(path, forged).unwrap();
 }
 
-/// Opens and drains the trace at both thread counts; each must fail.
+/// Opens and drains the trace at both thread counts; each must fail
+/// with [`TRUNCATED_SEGMENT`].
 fn assert_rejected(dir: &Path, what: &str) {
     for threads in [1usize, 2] {
         let options = ReadOptions {
@@ -59,9 +60,17 @@ fn assert_rejected(dir: &Path, what: &str) {
             ..ReadOptions::default()
         };
         let result = AtcReader::open_with(dir, options).and_then(|mut r| r.decode_all());
-        assert!(result.is_err(), "{what}, threads={threads}");
+        let err = result.expect_err(&format!("{what}, threads={threads}"));
+        assert!(
+            err.to_string().contains(TRUNCATED_SEGMENT),
+            "{what}, threads={threads}: {err}"
+        );
     }
 }
+
+/// What a forged 2⁶² length over a real file's bytes must report: a
+/// corrupt segment, not a trace that ended early or holds 0 addresses.
+const TRUNCATED_SEGMENT: &str = "segment truncated: got ";
 
 fn lossy() -> Mode {
     Mode::Lossy(LossyConfig {

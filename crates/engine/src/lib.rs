@@ -1,4 +1,4 @@
-//! Shared work-stealing execution runtime for the compression pipelines.
+//! Shared execution runtime for the compression pipelines.
 //!
 //! Before this crate, every parallel layer of the workspace owned its own
 //! thread pool: the segment pool of the codec-stream writer, the
@@ -7,36 +7,30 @@
 //! pool could not help a busy neighbour.
 //!
 //! [`Engine`] replaces all of them with one scheduler over independent
-//! tasks: a fixed set of long-lived worker threads, each owning a
-//! **lock-free Chase–Lev deque** (see `deque.rs`) plus a small
-//! finely-locked *inbox* for tasks submitted from other threads, and a
-//! shared finely-locked injector queue. A submitter is assigned a *home*
-//! worker ([`Engine::assign_home`]); its tasks land in that worker's
-//! inbox, the worker spills them onto its own deque, and any worker that
-//! runs dry first drains the injector, then **steals** — lock-free CAS
-//! on a sibling deque's top, falling back to a sibling's inbox. A shard
-//! (or stream) with nothing to do therefore automatically donates its
-//! capacity to a busy one — the [`EngineStats::steals`] counter makes
-//! the donation observable. No global lock exists anywhere on the
-//! submit/pop/steal path; the counters are relaxed atomics.
+//! tasks: a fixed set of long-lived worker threads popping **one FIFO
+//! queue** behind one mutex, parked on one condvar while it is empty.
+//! Whichever worker is free takes the oldest queued task, so a shard (or
+//! stream) with nothing to do leaves its capacity to a busy one without
+//! any per-submitter bookkeeping. The tasks are codec blocks that run
+//! for milliseconds, so one short lock per submit and per pop is noise
+//! next to the work it hands out.
 //!
-//! Idle workers park on a condvar behind a sleeping-workers count:
-//! a submit wakes **one** sleeper (and touches the condvar mutex only if
-//! someone is actually asleep), so submitting to a saturated engine is
-//! wait-free and never stampedes the other sleepers. Dropping the last
-//! handle wakes everyone, and the workers drain what is queued, then
-//! exit (joined by the final drop, except from inside an engine task).
+//! A submit pushes under the lock and wakes **one** parked worker.
+//! Dropping the last handle sets the shutdown flag under the same lock
+//! and wakes everyone; the workers drain what is queued, then exit
+//! (joined by the final drop, except from inside an engine task).
 //!
 //! Ordering is deliberately *not* the engine's job: tasks are independent,
 //! and each submitter restores its own order (the codec writers reassemble
 //! frames by sequence number, the lossy classifier is a single serialized
 //! actor task). That per-block independence is what lets the same bytes
-//! come out at every worker count.
+//! come out at every worker count. FIFO still helps those submitters: the
+//! oldest sequence number — the one an ordered-reassembly window waits
+//! for — is the first to run.
 //!
 //! Two shapes cover every pipeline in the workspace:
 //!
-//! * [`Engine::submit`] / [`Engine::submit_any`] — fire-and-forget
-//!   `'static` task on a home deque or the shared injector (segment
+//! * [`Engine::submit`] — fire-and-forget `'static` task (segment
 //!   compression, readahead decode, chunk files, network connections).
 //! * [`WorkerLocal`] — per-worker scratch storage, so a task category can
 //!   reuse buffers across tasks without locking during the work itself.
@@ -55,37 +49,33 @@
 //!
 //! let engine = Engine::new(2);
 //! let sum = Arc::new(AtomicU64::new(0));
-//! let home = engine.assign_home();
 //! for i in 0..10u64 {
 //!     let sum = Arc::clone(&sum);
-//!     engine.submit(home, move || {
+//!     engine.submit(move || {
 //!         sum.fetch_add(i, Ordering::Relaxed);
 //!     });
 //! }
-//! drop(engine); // the last handle drains the queues, then joins the workers
+//! drop(engine); // the last handle drains the queue, then joins the workers
 //! assert_eq!(sum.load(Ordering::Relaxed), 45);
 //! ```
 
 #![warn(missing_docs)]
-
-mod deque;
+#![forbid(unsafe_code)]
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-use deque::{ChaseLev, Steal};
-
 /// A queued unit of work.
-pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Hard cap on workers per engine: the worker registry is a fixed slab
-/// of this many slots so readers can index it without any lock or
-/// reallocation hazard. Far above any sane oversubscription level.
+/// Sanity cap on the worker count a caller may request: a thread count
+/// typed as a byte count should not spawn a million OS threads. Far above
+/// any useful oversubscription level.
 const MAX_WORKERS: usize = 256;
 
 /// Renders a caught panic payload for an error message.
@@ -114,13 +104,13 @@ thread_local! {
 /// quiescent, approximate while tasks are in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Tasks handed to the engine (home inboxes + injector).
+    /// Tasks handed to the engine.
     pub submitted: u64,
     /// Tasks executed by engine workers.
     pub tasks_run: u64,
-    /// Tasks a worker took from *another* worker's deque or inbox — the
-    /// work-donation counter: nonzero means an idle worker picked up a
-    /// busy submitter's backlog.
+    /// Always 0: every worker pops the one shared queue, so no task is
+    /// ever taken from another worker. Kept so existing readers of the
+    /// stats still compile.
     pub steals: u64,
     /// Tasks that panicked (the panic is caught; the submitter observes
     /// it through its own result channel).
@@ -136,133 +126,73 @@ pub struct EngineStats {
 struct Counters {
     submitted: AtomicU64,
     tasks_run: AtomicU64,
-    steals: AtomicU64,
     panics: AtomicU64,
     scratch_fresh: AtomicU64,
     scratch_reused: AtomicU64,
 }
 
-/// Per-worker scheduling state.
-///
-/// The deque is owner-only on its bottom end (`push`/`pop` are reached
-/// exclusively from the owning worker's loop); the inbox is where every
-/// *other* thread leaves tasks for this worker, under a lock that is
-/// held only for a queue operation, never during work. `inbox_len`
-/// mirrors the inbox's length (updated inside the lock) so scan loops
-/// skip empty inboxes without acquiring anything.
-struct WorkerState {
-    deque: ChaseLev,
-    inbox: Mutex<VecDeque<Task>>,
-    inbox_len: AtomicUsize,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        Self {
-            deque: ChaseLev::new(),
-            inbox: Mutex::new(VecDeque::new()),
-            inbox_len: AtomicUsize::new(0),
-        }
-    }
+/// What the workers wait on: the pending tasks, oldest first, and
+/// whether the last handle is gone.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
 }
 
 struct Shared {
-    /// Fixed slab of worker slots; `slots[..count]` are initialized.
-    /// `OnceLock` gives lock-free reads after publication.
-    slots: Box<[OnceLock<WorkerState>]>,
-    /// Number of published workers (store-release after the slot is set).
-    count: AtomicUsize,
-    /// Overflow/anonymous queue drained by whichever worker is free.
-    injector: Mutex<VecDeque<Task>>,
-    /// Length mirror of `injector` (updated inside its lock): lets the
-    /// scan skip an empty injector without the lock. A stale-empty read
-    /// is safe — `pending` guarantees a re-scan before anyone parks.
-    injector_len: AtomicUsize,
-    /// Tasks enqueued anywhere but not yet claimed by a worker. The
-    /// sleep protocol's Dekker flag: a parking worker re-checks it after
-    /// registering as a sleeper, a submitter increments it before
-    /// checking `sleepers` (both `SeqCst`), so one side always sees the
-    /// other and no wakeup is lost.
-    pending: AtomicUsize,
-    /// Workers currently parked (or committing to park) on `wake`.
-    /// Modified only under `sleep`; read lock-free by submitters.
-    sleepers: AtomicUsize,
-    /// Mutex the condvar parks on; protects no data of its own.
-    sleep: Mutex<()>,
-    wake: Condvar,
+    queue: Mutex<Queue>,
+    /// Signalled on every push (one waiter) and at shutdown (all).
+    work: Condvar,
     counters: Counters,
-    /// Set when the last owning handle drops: workers drain what is
-    /// queued, then exit.
-    shutdown: AtomicBool,
-    next_home: AtomicUsize,
-    /// Serializes growth; also stores the worker join handles for the
-    /// final drop.
-    lifecycle: Mutex<Vec<JoinHandle<()>>>,
+    /// Serializes growth; holds the worker join handles for the final
+    /// drop, so its length is the worker count.
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
-    /// The published worker at `index` (< `count`).
-    fn slot(&self, index: usize) -> &WorkerState {
-        // atclint: allow(library-unwrap) -- infallible: callers index
-        // below `count`, and `grow_to` sets each slot before the
-        // Release store of `count` that makes the index reachable.
-        self.slots[index].get().expect("worker slot published")
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Makes a freshly pushed task findable: bumps the pending count and
-    /// wakes exactly one parked worker if there is one. Lock-free unless
-    /// a worker is actually asleep.
-    fn signal_work(&self) {
-        // ordering: SeqCst pending increment + SeqCst sleepers load is
-        // one half of the Dekker handshake with `worker`'s park path
-        // (SeqCst sleepers increment + SeqCst pending re-check): in the
-        // single total order, either we see their sleeper registration
-        // (and notify) or they see our pending increment (and re-scan).
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // lock-held: `sleep` — taking the mutex orders this notify
-            // against a worker mid-way into parking: it is either still
-            // before its pending re-check (and will see our increment)
-            // or already waiting (and receives the notify).
-            let _guard = self.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.wake.notify_one();
+    fn workers(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.workers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Blocks until a task is queued (oldest first), or returns None once
+    /// the queue is empty and shutting down.
+    fn next_task(&self) -> Option<Task> {
+        let mut queue = self.queue();
+        loop {
+            if let Some(task) = queue.tasks.pop_front() {
+                return Some(task);
+            }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self.work.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-/// Guard owned by [`Engine`] handles only (never by worker threads or
-/// queued tasks' captured handles... those clone the whole `Engine`, which
-/// keeps the guard alive until the task ran). Dropping the last one tells
-/// the workers to drain and exit, then joins them.
+/// Guard owned by [`Engine`] handles only (never by worker threads;
+/// queued tasks that capture a handle keep the guard alive until they
+/// ran). Dropping the last one tells the workers to drain and exit, then
+/// joins them.
 struct ShutdownGuard {
     shared: Arc<Shared>,
 }
 
 impl Drop for ShutdownGuard {
     fn drop(&mut self) {
-        // ordering: SeqCst — the shutdown flag joins the pending/
-        // sleepers total order, so a worker's final `pending == 0 &&
-        // shutdown` check cannot see a stale false for both.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Shutdown is the one broadcast: every sleeper must wake to
-        // observe the flag. lock-held: `sleep` — notifying under the
-        // mutex means a worker between its shutdown check and `wait`
-        // cannot miss it.
-        {
-            let _guard = self.shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.shared.wake.notify_all();
-        }
-        // Join the workers so engine teardown is deterministic (and so
-        // tools like Miri see no threads outlive the test). If the last
-        // handle drops *inside* an engine task, that worker cannot join
-        // itself — it is skipped and exits on its own right after.
-        let handles = std::mem::take(
-            &mut *self
-                .shared
-                .lifecycle
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
+        self.shared.queue().shutdown = true;
+        // lock-held: none — the flag was set under `queue`, and a worker
+        // checks it under that lock before every wait, so it either sees
+        // the flag or is already waiting and receives this broadcast.
+        self.shared.work.notify_all();
+        // Join the workers so engine teardown is deterministic. If the
+        // last handle drops *inside* an engine task, that worker cannot
+        // join itself — it is skipped and exits on its own right after.
+        let handles = std::mem::take(&mut *self.shared.workers());
         let me = std::thread::current().id();
         for handle in handles {
             if handle.thread().id() != me {
@@ -272,7 +202,7 @@ impl Drop for ShutdownGuard {
     }
 }
 
-/// A handle to a work-stealing task engine.
+/// A handle to a task engine.
 ///
 /// Cheap to clone; the worker threads live until every handle is dropped
 /// (they finish whatever is queued first). The process-wide default
@@ -296,18 +226,10 @@ impl Engine {
     /// to 1, and counts above 256 to 256).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            slots: (0..MAX_WORKERS).map(|_| OnceLock::new()).collect(),
-            count: AtomicUsize::new(0),
-            injector: Mutex::new(VecDeque::new()),
-            injector_len: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
+            queue: Mutex::default(),
+            work: Condvar::new(),
             counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            next_home: AtomicUsize::new(0),
-            lifecycle: Mutex::new(Vec::new()),
+            workers: Mutex::default(),
         });
         let engine = Self {
             _guard: Arc::new(ShutdownGuard {
@@ -336,101 +258,39 @@ impl Engine {
     /// Adds workers until the engine has at least `target` of them.
     fn grow_to(&self, target: usize) {
         let target = target.min(MAX_WORKERS);
-        // ordering: Acquire pairs with the Release `count` store below,
-        // so a reader that sees index i published also sees slot i set.
-        if self.shared.count.load(Ordering::Acquire) >= target {
-            return;
-        }
-        let mut handles = self
-            .shared
-            .lifecycle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // ordering: Acquire — re-read under the lifecycle lock (another
-        // handle may have grown the engine while we waited for it).
-        let mut count = self.shared.count.load(Ordering::Acquire);
-        while count < target {
-            self.shared.slots[count]
-                .set(WorkerState::new())
-                .unwrap_or_else(|_| unreachable!("slot {count} published twice"));
-            // ordering: Release — publish the slot set above before any
-            // reader can compute this index from `count`.
-            self.shared.count.store(count + 1, Ordering::Release);
+        let mut handles = self.shared.workers();
+        while handles.len() < target {
+            let index = handles.len();
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
-                .name(format!("atc-engine-{count}"))
-                .spawn(move || worker(shared, count))
+                .name(format!("atc-engine-{index}"))
+                .spawn(move || worker(&shared, index))
                 // atclint: allow(library-unwrap) -- OS thread-spawn
                 // failure at engine construction has no fallback; the
                 // engine contract is workers exist or the process dies.
                 .expect("spawn engine worker");
             handles.push(handle);
-            count += 1;
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        // ordering: Acquire — see `grow_to`'s publication protocol.
-        self.shared.count.load(Ordering::Acquire)
+        self.shared.workers().len()
     }
 
-    /// Assigns a home worker index for a new submitter (round-robin).
-    ///
-    /// Tasks submitted to a home land on that worker's queues; idle
-    /// workers steal from it, so the home is an affinity hint, never a
-    /// constraint.
-    pub fn assign_home(&self) -> usize {
-        // ordering: Relaxed — a round-robin ticket; only atomicity
-        // matters, no other memory rides on it.
-        self.shared.next_home.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Queues `task` for `home`'s worker (modulo the worker count).
-    /// Never blocks; submitters bound their own in-flight work.
-    pub fn submit(&self, home: usize, task: impl FnOnce() + Send + 'static) {
-        // ordering: Acquire — see `grow_to`'s publication protocol.
-        let slot = self
-            .shared
-            .slot(home % self.shared.count.load(Ordering::Acquire));
-        {
-            let mut inbox = slot.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            inbox.push_back(Box::new(task));
-            // ordering: Release length mirror, stored inside the lock;
-            // lets `find_task` skip an empty inbox without locking. A
-            // stale-empty read is safe — `pending` (SeqCst) forces a
-            // re-scan before any worker parks.
-            slot.inbox_len.store(inbox.len(), Ordering::Release);
-        }
+    /// Queues `task` behind everything already submitted. Never blocks
+    /// on running work; submitters bound their own in-flight tasks.
+    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
+        self.shared.queue().tasks.push_back(Box::new(task));
         // ordering: Relaxed — monotonic stats counter.
         self.shared
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
-        self.shared.signal_work();
-    }
-
-    /// Queues `task` on the shared injector (no home affinity).
-    pub fn submit_any(&self, task: impl FnOnce() + Send + 'static) {
-        {
-            let mut injector = self
-                .shared
-                .injector
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            injector.push_back(Box::new(task));
-            // ordering: Release length mirror inside the lock — same
-            // protocol as `submit`'s inbox_len.
-            self.shared
-                .injector_len
-                .store(injector.len(), Ordering::Release);
-        }
-        // ordering: Relaxed — monotonic stats counter.
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.signal_work();
+        // lock-held: none — the push happened under `queue`, and a worker
+        // re-checks the queue under that lock before every wait, so it
+        // either sees the task or is already waiting for this notify.
+        self.shared.work.notify_one();
     }
 
     /// Snapshot of the engine's counters.
@@ -441,7 +301,7 @@ impl Engine {
         EngineStats {
             submitted: c.submitted.load(Ordering::Relaxed),
             tasks_run: c.tasks_run.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
+            steals: 0,
             panics: c.panics.load(Ordering::Relaxed),
             scratch_fresh: c.scratch_fresh.load(Ordering::Relaxed), // ordering: ditto
             scratch_reused: c.scratch_reused.load(Ordering::Relaxed),
@@ -454,120 +314,20 @@ impl Engine {
     }
 }
 
-/// Finds a task for worker `index`: own deque, own inbox (spilling the
-/// backlog onto the deque so thieves can help), the injector, then a
-/// round-robin steal sweep over the siblings' deques and inboxes.
-/// Returns the task and whether it was stolen.
-fn find_task(shared: &Shared, me: &WorkerState, index: usize) -> Option<(Task, bool)> {
-    if let Some(ptr) = me.deque.pop() {
-        // SAFETY: `pop` hands out a pushed pointer exactly once.
-        return Some((unsafe { deque::from_ptr(ptr) }, false));
-    }
-    // ordering: Acquire/Release on the queue-length mirrors throughout
-    // this scan — stores happen inside the owning lock, loads gate the
-    // lock acquisition. A stale-empty read only skips a queue; the
-    // SeqCst `pending` handshake forces a full re-scan before any
-    // worker parks, so no task is stranded.
-    if me.inbox_len.load(Ordering::Acquire) > 0 {
-        let mut inbox = me.inbox.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(first) = inbox.pop_front() {
-            // Spill the rest of the backlog onto our own (owner-side)
-            // deque: thieves can then relieve us without touching the
-            // inbox lock again.
-            for task in inbox.drain(..) {
-                me.deque.push(deque::into_ptr(task));
-            }
-            // ordering: Release mirror store under the inbox lock.
-            me.inbox_len.store(0, Ordering::Release);
-            return Some((first, false));
-        }
-    }
-    // ordering: Acquire gate, Release mirror — as above.
-    if shared.injector_len.load(Ordering::Acquire) > 0 {
-        let mut injector = shared.injector.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(task) = injector.pop_front() {
-            shared.injector_len.store(injector.len(), Ordering::Release);
-            return Some((task, false));
-        }
-    }
-    // ordering: Acquire pairs with `grow_to`'s Release count store.
-    let n = shared.count.load(Ordering::Acquire);
-    for d in 1..n {
-        let j = (index + d) % n;
-        let sibling = shared.slot(j);
-        loop {
-            match sibling.deque.steal() {
-                // SAFETY: a successful CAS hands out the pointer once.
-                Steal::Success(ptr) => return Some((unsafe { deque::from_ptr(ptr) }, true)),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        // ordering: Acquire gate, Release mirror — as above.
-        if sibling.inbox_len.load(Ordering::Acquire) > 0 {
-            let mut inbox = sibling.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(task) = inbox.pop_front() {
-                sibling.inbox_len.store(inbox.len(), Ordering::Release);
-                return Some((task, true));
-            }
-        }
-    }
-    None
-}
-
-/// Worker-thread body: run tasks while any are findable, park otherwise.
-fn worker(shared: Arc<Shared>, index: usize) {
+/// Worker-thread body: run queued tasks oldest first until shutdown has
+/// drained the queue.
+fn worker(shared: &Shared, index: usize) {
     WORKER_INDEX.with(|w| w.set(Some(index)));
-    let me = shared.slot(index);
-    loop {
-        if let Some((task, stolen)) = find_task(&shared, me, index) {
-            // ordering: SeqCst — `pending` lives in the Dekker total
-            // order with `signal_work`; see the field docs.
-            shared.pending.fetch_sub(1, Ordering::SeqCst);
-            if stolen {
-                // ordering: Relaxed — stats counters, both below too.
-                shared.counters.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.counters.tasks_run.fetch_add(1, Ordering::Relaxed);
-            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                // Submitters observe the failure through their own result
-                // channels (a missing result / poisoned latch); the worker
-                // itself must survive to run unrelated submitters' tasks.
-                // ordering: Relaxed — stats counter.
-                shared.counters.panics.fetch_add(1, Ordering::Relaxed);
-            }
-            continue;
+    while let Some(task) = shared.next_task() {
+        // ordering: Relaxed — stats counter.
+        shared.counters.tasks_run.fetch_add(1, Ordering::Relaxed);
+        if catch_unwind(AssertUnwindSafe(task)).is_err() {
+            // Submitters observe the failure through their own result
+            // channels (a missing result / poisoned latch); the worker
+            // itself must survive to run unrelated submitters' tasks.
+            // ordering: Relaxed — stats counter.
+            shared.counters.panics.fetch_add(1, Ordering::Relaxed);
         }
-        // Nothing findable. If tasks were enqueued while the scan was
-        // running (pending > 0), retry the scan instead of touching the
-        // sleep mutex — the transient miss is common under a fast
-        // producer and must not cost a lock acquisition.
-        // ordering: SeqCst — every `pending`/`sleepers`/`shutdown`
-        // access in this park path stays in the one total order with
-        // `signal_work`'s increment+check, so either the submitter sees
-        // our sleeper registration or we see its pending increment.
-        if shared.pending.load(Ordering::SeqCst) > 0 {
-            continue;
-        }
-        // Park. Register as a sleeper *before* the final pending
-        // re-check (the Dekker handshake with `signal_work`), all under
-        // the sleep mutex so a notify cannot slip between the re-check
-        // and the wait.
-        let guard = shared.sleep.lock().unwrap_or_else(|e| e.into_inner());
-        // ordering: SeqCst — see the park-path comment above.
-        if shared.pending.load(Ordering::SeqCst) == 0 && shared.shutdown.load(Ordering::SeqCst) {
-            // Quiescent and shutting down: exit. (With pending > 0 we
-            // loop again instead — queued work is drained even during
-            // shutdown.)
-            return;
-        }
-        // ordering: SeqCst — see the park-path comment above.
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        if shared.pending.load(Ordering::SeqCst) == 0 && !shared.shutdown.load(Ordering::SeqCst) {
-            let _guard = shared.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-        // ordering: SeqCst — see the park-path comment above.
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -638,10 +398,9 @@ mod tests {
         let engine = Engine::new(3);
         assert_eq!(engine.workers(), 3);
         let (tx, rx) = mpsc::channel::<usize>();
-        let home = engine.assign_home();
         for n in 0..100usize {
             let tx = tx.clone();
-            engine.submit(home, move || tx.send(n).unwrap());
+            engine.submit(move || tx.send(n).unwrap());
         }
         drop(tx);
         let sum: usize = rx.iter().sum();
@@ -649,36 +408,54 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.submitted, 100);
         assert_eq!(stats.tasks_run, 100);
+        assert_eq!(stats.steals, 0);
     }
 
+    /// One worker parked on a gate must not strand the queue: the other
+    /// worker runs every later task while the gate is still shut.
     #[test]
-    fn idle_workers_steal_from_a_busy_home() {
-        // All tasks target home 0; with 4 workers and tasks that take a
-        // little while, the other three must steal to finish the batch.
-        let engine = Engine::new(4);
+    fn parked_worker_does_not_strand_tasks() {
+        let engine = Engine::new(2);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        engine.submit(move || {
+            parked_tx.send(()).unwrap();
+            let _ = gate_rx.recv();
+        });
+        parked_rx.recv_timeout(Duration::from_secs(30)).unwrap();
         let (tx, rx) = mpsc::channel::<()>();
         for _ in 0..64 {
             let tx = tx.clone();
-            engine.submit(0, move || {
-                std::thread::sleep(Duration::from_millis(1));
-                tx.send(()).unwrap();
-            });
+            engine.submit(move || tx.send(()).unwrap());
         }
         drop(tx);
-        assert_eq!(rx.iter().count(), 64);
-        assert!(
-            engine.stats().steals > 0,
-            "idle workers must steal a skewed backlog"
-        );
+        for _ in 0..64 {
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("a task stranded behind the parked worker");
+        }
+        assert_eq!(engine.stats().tasks_run, 65);
+        drop(gate_tx);
+    }
+
+    #[test]
+    fn one_worker_runs_tasks_in_submit_order() {
+        let engine = Engine::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for n in 0..200usize {
+            let order = Arc::clone(&order);
+            engine.submit(move || order.lock().unwrap().push(n));
+        }
+        drop(engine); // drains the queue, then joins the worker
+        assert_eq!(*order.lock().unwrap(), (0..200).collect::<Vec<_>>());
     }
 
     #[test]
     fn task_panic_does_not_kill_the_worker() {
         let engine = Engine::new(1);
         let (tx, rx) = mpsc::channel::<&'static str>();
-        engine.submit(0, || panic!("task panic"));
+        engine.submit(|| panic!("task panic"));
         let tx2 = tx.clone();
-        engine.submit(0, move || tx2.send("alive").unwrap());
+        engine.submit(move || tx2.send("alive").unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(30)).unwrap(), "alive");
         assert_eq!(engine.stats().panics, 1);
     }
@@ -691,7 +468,7 @@ mod tests {
         for _ in 0..40 {
             let local = Arc::clone(&local);
             let tx = tx.clone();
-            engine.submit(0, move || {
+            engine.submit(move || {
                 local.with(|buf| {
                     buf.push(1);
                     tx.send(buf.len()).unwrap();
@@ -730,10 +507,9 @@ mod tests {
         let (tx, rx) = mpsc::channel::<usize>();
         {
             let engine = Engine::new(2);
-            let home = engine.assign_home();
             for n in 0..50usize {
                 let tx = tx.clone();
-                engine.submit(home, move || tx.send(n).unwrap());
+                engine.submit(move || tx.send(n).unwrap());
             }
             // engine handle drops here with tasks possibly still queued
         }
@@ -741,26 +517,15 @@ mod tests {
         assert_eq!(rx.iter().count(), 50, "queued tasks still run after drop");
     }
 
-    #[test]
-    fn submit_any_round_robins_through_the_injector() {
-        let engine = Engine::new(2);
-        let (tx, rx) = mpsc::channel::<()>();
-        for _ in 0..10 {
-            let tx = tx.clone();
-            engine.submit_any(move || tx.send(()).unwrap());
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 10);
-    }
-
+    /// Requests above `MAX_WORKERS` are capped.
     #[test]
     fn worker_count_is_clamped_to_the_slab() {
         let engine = Engine::new(100_000);
-        assert_eq!(engine.workers(), 256);
+        assert_eq!(engine.workers(), MAX_WORKERS);
     }
 
-    /// Many producers × oversubscribed homes: every task must run
-    /// exactly once no matter how submissions interleave with steals.
+    /// Many producers submitting concurrently: every task must run
+    /// exactly once no matter how the pushes interleave with the pops.
     #[test]
     fn stress_many_producers_oversubscribed_homes() {
         let producers = 8usize;
@@ -768,27 +533,26 @@ mod tests {
         let engine = Engine::new(4);
         let ran = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
-            for p in 0..producers {
+            for _ in 0..producers {
                 let engine = engine.clone();
                 let ran = Arc::clone(&ran);
                 s.spawn(move || {
-                    // 23 distinct homes on 4 workers: heavy aliasing.
-                    for i in 0..per_producer {
+                    for _ in 0..per_producer {
                         let ran = Arc::clone(&ran);
-                        engine.submit(p * 31 + i, move || {
+                        engine.submit(move || {
                             ran.fetch_add(1, Ordering::Relaxed);
                         });
                     }
                 });
             }
         });
-        drop(engine); // joins workers after the queues drain
+        drop(engine); // joins workers after the queue drains
         assert_eq!(ran.load(Ordering::Relaxed), producers * per_producer);
     }
 
-    /// Regression test: dropping the engine while thieves are mid-steal
-    /// (a skewed backlog being actively redistributed) must neither hang
-    /// nor lose tasks — shutdown drains everything, then joins.
+    /// Dropping the engine while its workers are busy on a backlog must
+    /// neither hang nor lose tasks — shutdown drains everything, then
+    /// joins.
     #[test]
     fn shutdown_while_stealing_drains_everything() {
         let total = if cfg!(miri) { 50 } else { 1_000 };
@@ -797,9 +561,7 @@ mod tests {
             let ran = Arc::new(AtomicUsize::new(0));
             for _ in 0..total {
                 let ran = Arc::clone(&ran);
-                // Everything on one home: the other three workers are
-                // stealing the backlog when the drop lands.
-                engine.submit(0, move || {
+                engine.submit(move || {
                     ran.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -808,10 +570,8 @@ mod tests {
         }
     }
 
-    /// A submit with every worker busy must not wake anyone (there is no
-    /// one to wake): the sleeping-workers count gates the notify, so a
-    /// saturated engine takes the wait-free path. Indirectly observable:
-    /// the engine still finishes everything, and quickly.
+    /// Submits while every worker is busy only queue: the backlog runs
+    /// once the workers are free again.
     #[test]
     fn submit_on_saturated_engine_completes() {
         let engine = Engine::new(2);
@@ -821,20 +581,72 @@ mod tests {
         for _ in 0..2 {
             let gate = Arc::clone(&gate);
             let tx = tx.clone();
-            engine.submit_any(move || {
+            engine.submit(move || {
                 while gate.load(Ordering::Acquire) == 0 {
                     std::thread::yield_now();
                 }
                 tx.send(()).unwrap();
             });
         }
-        // Saturated submits: sleepers == 0, pure queue pushes.
         for _ in 0..100 {
             let tx = tx.clone();
-            engine.submit(0, move || tx.send(()).unwrap());
+            engine.submit(move || tx.send(()).unwrap());
         }
         gate.store(1, Ordering::Release);
         drop(tx);
         assert_eq!(rx.iter().count(), 102);
+    }
+
+    /// Workers that went back to an empty queue wake for later submits:
+    /// each round's task is submitted only after the previous one ran,
+    /// so the workers are parked (or on their way to it) every time.
+    #[test]
+    fn parked_workers_wake_for_later_submits() {
+        let engine = Engine::new(2);
+        let (tx, rx) = mpsc::channel::<usize>();
+        for round in 0..100usize {
+            let tx = tx.clone();
+            engine.submit(move || tx.send(round).unwrap());
+            assert_eq!(rx.recv_timeout(Duration::from_secs(30)).unwrap(), round);
+        }
+    }
+
+    #[test]
+    fn current_worker_is_set_only_on_engine_threads() {
+        assert_eq!(Engine::current_worker(), None);
+        let engine = Engine::new(3);
+        let (tx, rx) = mpsc::channel::<Option<usize>>();
+        for _ in 0..30 {
+            let tx = tx.clone();
+            engine.submit(move || tx.send(Engine::current_worker()).unwrap());
+        }
+        drop(tx);
+        for index in rx.iter() {
+            assert!(matches!(index, Some(i) if i < 3), "{index:?}");
+        }
+    }
+
+    #[test]
+    fn zero_workers_is_clamped_to_one() {
+        let engine = Engine::new(0);
+        assert_eq!(engine.workers(), 1);
+        let (tx, rx) = mpsc::channel::<()>();
+        engine.submit(move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    }
+
+    /// The last handle dropped inside an engine task: that worker must
+    /// not join itself, and the drop must not hang.
+    #[test]
+    fn last_handle_dropped_inside_a_task() {
+        let engine = Engine::new(2);
+        let (tx, rx) = mpsc::channel::<()>();
+        let inner = engine.clone();
+        engine.submit(move || {
+            drop(inner);
+            tx.send(()).unwrap();
+        });
+        drop(engine);
+        rx.recv_timeout(Duration::from_secs(30)).unwrap();
     }
 }

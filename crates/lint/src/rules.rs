@@ -335,10 +335,11 @@ Invariant: every `unsafe` block, function, or impl carries a comment
 containing `SAFETY` (e.g. `// SAFETY: …` or a `# Safety` doc section)
 on the same line or within the 4 lines above it.
 
-Rationale: the unsafe concurrency core (the hand-written Chase-Lev
-deque, the SA-IS allocation counter, `split_at_mut` flat decodes) is
-only reviewable if each unsafe site states the proof obligation it
-discharges. Miri checks executions; SAFETY comments check reasoning.
+Rationale: an unsafe site (today the codec tests' counting allocator
+and the `atcd` signal handler; the library crates hold none, and
+`atc-engine` forbids it) is only reviewable if it states the proof
+obligation it discharges. Miri checks executions; SAFETY comments
+check reasoning.
 
 Scope: all scanned files, including tests.
 Annotation: a comment containing `SAFETY` adjacent to the `unsafe`
@@ -353,7 +354,7 @@ Invariant: library code (crates/*/src, excluding src/bin) never calls
 `thread::spawn` or `thread::scope` and never names `thread::Builder`
 (whose `.spawn` is the same thing with a name), except inside
 `crates/engine` — every pool, scope, and background task goes through
-`Engine` so the whole process shares one work-stealing runtime.
+`Engine` so the whole process shares one task runtime.
 
 Rationale: PR 4 unified four ad-hoc pools onto the engine; a stray
 spawn reintroduces unaccounted parallelism, breaks the worker-count
@@ -377,10 +378,12 @@ SeqCst` in library or bin src carries an adjacent comment containing
 `ordering:` stating why that strength is sufficient (what it pairs
 with, or why no synchronization is needed).
 
-Rationale: the lock-free deque and the engine's sleep/wake protocol
-are correct only under specific pairings (Release store -> Acquire
-load, SeqCst Dekker handshake). An ordering without a written pairing
-argument is unreviewable and rots silently when code moves.
+Rationale: atomics shared across threads (the net server's
+connection drain and stop flag, the segment cache's counters) are
+correct only under specific pairings (Release store -> Acquire load),
+and even a Relaxed counter should say why nothing rides on it. An
+ordering without a written pairing argument is unreviewable and rots
+silently when code moves.
 
 Scope: library and src/bin code; `#[cfg(test)]` regions and test
 files are exempt (test counters use Relaxed incidentally).

@@ -239,7 +239,7 @@ impl NetServer {
                     // to the Acquire drain loop at the end of run().
                     self.shared.active.fetch_add(1, Ordering::AcqRel);
                     let shared = Arc::clone(&self.shared);
-                    self.engine.submit_any(move || {
+                    self.engine.submit(move || {
                         // Decrement on every exit path, panics included,
                         // or shutdown would wait forever.
                         struct Leave<'a>(&'a Shared);

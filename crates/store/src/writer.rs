@@ -25,10 +25,10 @@ pub struct StoreOptions {
     pub policy: ShardPolicy,
     /// Per-trace options (codec, bytesort buffer). `atc.threads` is the
     /// store's *total* compression parallelism: **all shard writers feed
-    /// one shared work-stealing engine** with that many workers, so a
-    /// shard with nothing queued automatically donates its capacity to a
-    /// busy one (no static per-shard split). Each shard writer keeps the
-    /// full in-flight window; the engine's worker count is the actual
+    /// one shared engine** with that many workers, so a shard with
+    /// nothing queued automatically donates its capacity to a busy one
+    /// (no static per-shard split). Each shard writer keeps the full
+    /// in-flight window; the engine's worker count is the actual
     /// concurrency cap.
     pub atc: AtcOptions,
     /// Cap on buffered pipeline bytes summed **across all shard
@@ -67,9 +67,7 @@ pub struct StoreStats {
     /// Total size of the store (all shard directories + manifest).
     pub compressed_bytes: u64,
     /// Counters of the engine the shard writers fed (None when the store
-    /// ran fully inline with `threads <= 1`). `steals > 0` under skewed
-    /// routing is the observable form of shard-to-shard capacity
-    /// donation.
+    /// ran fully inline with `threads <= 1`).
     pub engine: Option<EngineStats>,
     /// High-water mark of pipeline bytes buffered across all shard
     /// writers, as seen by the shared byte-budget gate
@@ -164,7 +162,7 @@ impl AtcStore {
 
     /// Like [`AtcStore::create`], but every shard writer submits to the
     /// given `engine` — the injection point for tests that pin worker
-    /// counts or read isolated steal counters.
+    /// counts or read isolated counters.
     ///
     /// # Errors
     ///
@@ -375,6 +373,9 @@ impl AtcStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("atc-store-w-{name}-{}", std::process::id()));
@@ -487,15 +488,30 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    /// The tentpole's donation pin: with *every* address routed to shard
-    /// 0 (skewed addr-range routing) and a 2-worker engine, the idle
-    /// shard's capacity must be used for the busy shard — observable as
-    /// engine steals, since all of shard 0's tasks queue on one home
-    /// deque and the second worker has nothing of its own.
+    /// Capacity donation: with *every* address routed to shard 0
+    /// (skewed addr-range routing) and one of the two engine workers
+    /// parked on a gate, the other worker must run all of shard 0's
+    /// segments — `finish()` returns while the gate is still shut.
     #[test]
     fn idle_shard_capacity_donated_to_busy_shard() {
-        let root = tmp("steal");
+        let root = tmp("donate");
         let engine = Engine::new(2);
+        let (parked_tx, parked) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel::<()>();
+        let gave_up = Arc::new(AtomicBool::new(false));
+        {
+            let gave_up = Arc::clone(&gave_up);
+            engine.submit(move || {
+                parked_tx.send(()).unwrap();
+                // Returns once the test drops `gate`.
+                let timeout = gate_rx.recv_timeout(Duration::from_secs(60));
+                gave_up.store(
+                    timeout == Err(mpsc::RecvTimeoutError::Timeout),
+                    Ordering::Relaxed,
+                );
+            });
+        }
+        parked.recv().unwrap();
         let mut s = AtcStore::create_with_engine(
             &root,
             Mode::Lossless,
@@ -514,20 +530,23 @@ mod tests {
             engine.clone(),
         )
         .unwrap();
-        // 2 M addresses = 16 MiB raw = 16 one-MiB segments, all queued on
-        // shard 0's home deque: a long backlog for worker 1 to steal.
+        // 2 M addresses = 16 MiB raw = 16 one-MiB segments, all from
+        // shard 0, all run by the one worker that is not parked.
         s.code_all((0..2_000_000u64).map(|i| (i % 50_000) * 64))
             .unwrap();
         let stats = s.finish().unwrap();
+        assert!(
+            !gave_up.load(Ordering::Relaxed),
+            "finish() returned only after the gate gave up"
+        );
+        drop(gate);
         assert_eq!(stats.shards[0].count, 2_000_000, "routing must be skewed");
         assert_eq!(stats.shards[1].count, 0);
         let engine_stats = stats.engine.expect("engine stats present");
         assert!(
-            engine_stats.steals > 0,
-            "the idle shard's worker must steal the busy shard's backlog \
-             (tasks_run={}, steals={})",
-            engine_stats.tasks_run,
-            engine_stats.steals
+            engine_stats.tasks_run > 16,
+            "the free worker must run every segment (tasks_run={})",
+            engine_stats.tasks_run
         );
         fs::remove_dir_all(&root).unwrap();
     }

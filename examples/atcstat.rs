@@ -4,7 +4,7 @@
 //! chunk reference), and reports size breakdown and compression ratio.
 //! With `--threads N` (N > 1) it additionally drains the trace through
 //! the parallel read pipeline on a private execution engine and reports
-//! the engine/worker counters (`tasks run`, `steals`, `scratch reuse`)
+//! the engine/worker counters (`tasks run`, `scratch reuse`)
 //! alongside the reader's `frame_stats()`.
 //!
 //! With `--seek FRAME` it becomes a random-access extractor instead:
@@ -151,7 +151,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  copied bytes:    {}", fs.copied_bytes);
         println!("engine:");
         println!("  tasks run:       {}", es.tasks_run);
-        println!("  steals:          {}", es.steals);
         println!(
             "  scratch reuse:   {} reused / {} fresh",
             es.scratch_reused, es.scratch_fresh

@@ -36,7 +36,7 @@
 //!
 //! `pack` and `unpack` with `--threads N` run their work on a private
 //! N-worker execution engine and report its counters (`tasks run`,
-//! `steals`, `scratch reuse`) to stderr.
+//! `scratch reuse`) to stderr.
 
 use std::error::Error;
 use std::io::{Read, Write};
@@ -111,8 +111,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let engine = (threads > 1).then(|| Engine::new(threads));
     let print_engine_stats = |stats: EngineStats| {
         eprintln!(
-            "engine: {} tasks run, {} steals, scratch {} reused / {} fresh",
-            stats.tasks_run, stats.steals, stats.scratch_reused, stats.scratch_fresh
+            "engine: {} tasks run, scratch {} reused / {} fresh",
+            stats.tasks_run, stats.scratch_reused, stats.scratch_fresh
         );
     };
     // Full scans (`unpack`, the `stat` drain) read every frame once, so

@@ -23,7 +23,7 @@
 //! * [`store`] (`atc-store`) — the sharded multi-trace store: N ATC trace
 //!   directories under one root with pluggable shard routing and merged
 //!   or per-shard read-back.
-//! * [`engine`] (`atc-engine`) — the shared work-stealing execution
+//! * [`engine`] (`atc-engine`) — the shared execution
 //!   runtime every parallel layer (codec segments, readahead decode,
 //!   lossy classification/chunks, all store shards) submits its tasks
 //!   to.
